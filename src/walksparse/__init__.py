@@ -52,13 +52,10 @@ from .oracle import (
 from .resistance import ErOracle, er_oracle_build, er_query, estimate_er, resparsify
 from .sampling import (
     PathBatch,
-    PathSample,
     RngStream,
     SamplerIndex,
-    build_index,
     build_template,
     graph_sampling,
-    sample_path,
     sample_paths,
     sample_template_paths,
 )
@@ -77,7 +74,6 @@ __all__ = [
     "LaplacianView",
     "MonomialApprox",
     "PathBatch",
-    "PathSample",
     "PolyCoeffs",
     "RngStream",
     "SamplerIndex",
@@ -88,7 +84,6 @@ __all__ = [
     "ValidationError",
     "WalksparseError",
     "WeightedGraph",
-    "build_index",
     "build_template",
     "dense_monomial",
     "dense_poly",
@@ -108,7 +103,6 @@ __all__ = [
     "qth_root_coefficients",
     "qth_root_reduce_step",
     "resparsify",
-    "sample_path",
     "sample_paths",
     "sample_template_paths",
     "save_graph",

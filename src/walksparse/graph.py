@@ -19,6 +19,8 @@ from .errors import GraphFormatError, ValidationError
 log = logging.getLogger(__name__)
 
 DEGREE_RTOL = 1e-12
+# Largest n handled by dense methods: the oracle, dense validation and exact ER.
+DENSE_THRESHOLD = 512
 
 
 class WeightedGraph:
@@ -252,10 +254,6 @@ class SddmMatrix:
     def n(self):
         return self.offdiag.n
 
-    @property
-    def graph_degree(self):
-        return self.offdiag.degree
-
     def matrix(self):
         return sp.diags(self.diag) - self.offdiag.adjacency
 
@@ -473,7 +471,7 @@ def save_sddm(M: SddmMatrix, path):
             fh.write(f"{u + 1} {v + 1} {-w:.17g}\n")
 
 
-def validate_poly_laplacian(G: WeightedGraph, alpha: PolyCoeffs, threshold=512):
+def validate_poly_laplacian(G: WeightedGraph, alpha: PolyCoeffs, threshold=DENSE_THRESHOLD):
     """Dense check that L_alpha(G) is a Laplacian: symmetric, nonpositive
     off-diagonals, row sums within 1e-9 * D(i,i) of zero."""
     if G.n > threshold:

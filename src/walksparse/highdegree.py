@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from .errors import InputRefusedError, ValidationError
 from .graph import WeightedGraph
 from .sampling import RngStream, build_template, graph_sampling, sample_template_paths
-from .sparsify import SparsifyConfig, sparsify_monomial
+from .sparsify import SparsifyConfig, _log_n, sparsify_monomial
 
 log = logging.getLogger(__name__)
 
@@ -102,11 +102,6 @@ class MonomialApprox:
     base_degree: np.ndarray
     accumulated_eps: float
 
-    def validate(self):
-        s = self.graph.degree
-        if np.any(s > self.base_degree * (1 + 1e-9)):
-            raise ValidationError("approximation carries degree excess over the base")
-
 
 def _clamp_degree_excess(approx: MonomialApprox) -> MonomialApprox:
     """Uniformly rescale A~ so its degrees never exceed the base D."""
@@ -128,11 +123,7 @@ def _template_sparsify(layers, coeffs, D, eps, cfg: SparsifyConfig, rng, n):
     """Sample a template at stage-one budget, then re-sparsify."""
     local = replace(cfg, epsilon=eps)
     tmpl = build_template(layers, coeffs, D)
-    M = int(
-        math.ceil(
-            cfg.oversample * math.log(max(n, 2)) / local.eps_stage_one**2 * tmpl.tau_total
-        )
-    )
+    M = int(math.ceil(cfg.oversample * _log_n(n) / local.eps_stage_one**2 * tmpl.tau_total))
     draw = lambda count, gen: sample_template_paths(tmpl, count, gen)
     H = graph_sampling(draw, tmpl.tau_total, M, rng, n)
     if local.second_stage:

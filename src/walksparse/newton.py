@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import comb
 
 from .errors import ConvergenceError, ValidationError
-from .graph import PolyCoeffs, SddmMatrix
+from .graph import PolyCoeffs, SddmMatrix, WeightedGraph
 from .sampling import RngStream, _as_generator
 from .sddm import sparsify_sddm
 from .sparsify import SparsifyConfig

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graph import PolyCoeffs, SddmMatrix, WeightedGraph
+from .graph import DENSE_THRESHOLD, PolyCoeffs, SddmMatrix, WeightedGraph
 
-DENSE_THRESHOLD = 512
 RANK_RTOL = 1e-9
 
 

@@ -16,12 +16,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, InputRefusedError, ValidationError
-from .graph import PolyCoeffs, WeightedGraph
+from .graph import DENSE_THRESHOLD, PolyCoeffs, WeightedGraph
 from .oracle import exact_er_matrix
 from .sampling import RngStream, _as_generator
-from .sparsify import SparsifyConfig, sparsify_poly, stage_two_edge_budget
-
-DENSE_ER_THRESHOLD = 512
+from .sparsify import SparsifyConfig, _join_components, _split_components, sparsify_poly, stage_two_edge_budget
 
 
 @dataclass
@@ -83,7 +81,7 @@ def estimate_er(H: WeightedGraph, delta=0.2, method=None, rng=None, rtol=1e-8) -
     if not H.is_connected():
         raise InputRefusedError("effective-resistance estimation needs a connected graph")
     if method is None:
-        method = "dense-exact" if H.n <= DENSE_ER_THRESHOLD else "sketch"
+        method = "dense-exact" if H.n <= DENSE_THRESHOLD else "sketch"
     if method == "dense-exact":
         R = exact_er_matrix(H.laplacian_dense())
         return ErEstimates(Z=R[H.edge_u, H.edge_v].copy(), method=method)
@@ -101,11 +99,18 @@ def estimate_er(H: WeightedGraph, delta=0.2, method=None, rng=None, rtol=1e-8) -
 def resparsify(H: WeightedGraph, eps, cfg: SparsifyConfig, rng) -> WeightedGraph:
     """Effective-resistance sparsification of an explicit graph at error eps.
 
-    Returns H unchanged when it already meets the edge budget.
+    Returns H unchanged when it already meets the edge budget. A disconnected
+    H (an even monomial of a bipartite graph has two components) is
+    resparsified one component at a time.
     """
     budget = stage_two_edge_budget(H.n, eps, cfg)
     if H.m <= budget:
         return H
+    if not H.is_connected():
+        gen = _as_generator(rng)
+        return _join_components(
+            H.n, [(verts, resparsify(sub, eps, cfg, gen)) for verts, sub in _split_components(H)]
+        )
     est = estimate_er(H, rng=rng)
     tau = H.edge_w * est.Z
     tau_total = float(tau.sum())
@@ -159,7 +164,7 @@ def er_oracle_build(
         cfg = SparsifyConfig(epsilon=eps)
     H = sparsify_poly(G, alpha, cfg, rng)
     if method is None:
-        method = "dense-exact" if H.n <= DENSE_ER_THRESHOLD else "sketch"
+        method = "dense-exact" if H.n <= DENSE_THRESHOLD else "sketch"
     if method == "dense-exact":
         state = np.linalg.pinv(H.laplacian_dense(), rcond=1e-12)
     else:

@@ -1,15 +1,17 @@
-"""Weighted discrete sampling infrastructure and the core path sampler.
+"""Weighted discrete sampling infrastructure and the walk sampler.
 
-Paths of length r are drawn with probability proportional to
-tau_p = w(p) Z(p) by picking a uniform position and a uniform edge, then
-running two transition-matrix random walks outward from its endpoints.
-All masses use the direction-identified convention in which the total over
-length-r walks is exactly 2 r m.
+A walk template is an ordered list of edge layers with per-position
+resistance coefficients under a shared degree normalization D (e.g. the
+pattern A A A~ A A). A walk is drawn with probability proportional to
+tau_p = w(p) Z(p) by choosing a pivot step (position and directed edge)
+from masses built from absorption vectors, then stepping outward from its
+endpoints with per-step distributions reweighted by the same vectors.
 
-Heterogeneous walk templates generalize this to walks whose steps traverse
-different edge layers (e.g. the pattern A A A~ A A) under a shared degree
-normalization; exact sampling there relies on absorption vectors computed
-with one sparse mat-vec per position.
+The plain length-r walk sampler is the monomial template [A]*r with
+coefficient 2 per position and D = A 1: every absorption vector is then
+exactly one, the pivot edge is uniform, and the masses use the
+direction-identified convention in which the total over length-r walks is
+exactly 2 r m.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .graph import WeightedGraph
 
 LOG_SPACE_MIN_LENGTH = 64  # accumulate log-weights for very long walks
 _CHUNK = 1 << 19
+# Slack that keeps every guide entry at or before its true slot despite
+# rounding in u * k (Chen & Asau guide tables need a lower bound only).
+_GUIDE_SLACK = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,91 +53,52 @@ def _as_generator(rng):
     return np.random.default_rng(rng)
 
 
-class _RowAlias:
-    """Alias tables over the row segments of a CSR matrix: O(1) draws."""
+class _RowTable:
+    """Guide tables over the row segments of a CSR weight pattern.
 
-    def __init__(self, indptr, data):
+    cum holds each row's normalized inclusive cumulative sum (the last entry
+    of a row is exactly 1) and guide[s + j] the first slot of the row
+    starting at s whose cum may exceed j / k, so a draw is one bucket lookup
+    plus O(1) expected forward steps (Chen & Asau, 1974). Rows are
+    normalized before the running sum so that a row of tiny weights keeps
+    its proportions next to rows of huge ones. A row whose weights are all
+    zero is drawn uniformly.
+    """
+
+    def __init__(self, indptr, weights):
         self.indptr = indptr
-        n = len(indptr) - 1
-        prob = np.ones(len(data))
-        alias = np.arange(len(data), dtype=np.int64)
-        rowsum = np.zeros(n)
-        for row in range(n):
-            s, e = indptr[row], indptr[row + 1]
-            k = e - s
-            if k == 0:
-                continue
-            seg = data[s:e]
-            total = seg.sum()
-            rowsum[row] = total
-            if k == 1 or total <= 0:
-                continue
-            scaled = seg * (k / total)
-            small = [i for i in range(k) if scaled[i] < 1.0]
-            large = [i for i in range(k) if scaled[i] >= 1.0]
-            scaled = scaled.copy()
-            while small and large:
-                lo = small.pop()
-                hi = large.pop()
-                prob[s + lo] = scaled[lo]
-                alias[s + lo] = s + hi
-                scaled[hi] -= 1.0 - scaled[lo]
-                (small if scaled[hi] < 1.0 else large).append(hi)
-            for i in small + large:
-                prob[s + i] = 1.0
-        self.prob = prob
-        self.alias = alias
-        self.rowsum = rowsum
         self.deg = np.diff(indptr)
+        rows = np.repeat(np.arange(len(self.deg)), self.deg)
+        total = np.bincount(rows, weights=weights, minlength=len(self.deg))
+        self.total = total
+        p = np.where(total[rows] > 0, weights / np.where(total > 0, total, 1.0)[rows], 1.0)
+        run = np.cumsum(p)
+        before = np.concatenate(([0.0], run))[indptr[:-1]]
+        cum = run - before[rows]
+        cum /= cum[np.maximum(indptr[1:] - 1, 0)][rows]
+        self.cum = cum
 
-    def draw(self, rows, gen):
-        """Vectorized draw of one table position per requested row."""
+        start = indptr[:-1][rows]
         k = self.deg[rows]
-        slot = self.indptr[rows] + np.minimum(
-            (gen.random(len(rows)) * k).astype(np.int64), k - 1
-        )
-        take = gen.random(len(rows)) < self.prob[slot]
-        return np.where(take, slot, self.alias[slot])
+        bucket = np.minimum((cum * k * _GUIDE_SLACK).astype(np.int64) + 1, k)
+        inside = bucket < k
+        passed = np.cumsum(np.bincount((start + bucket)[inside], minlength=len(cum)))
+        self.guide = start + passed - np.concatenate(([0], passed))[start]
 
-
-class SamplerIndex:
-    """Preprocessed tables for O(1) neighbor draws and uniform edge draws."""
-
-    def __init__(self, G: WeightedGraph):
-        if G.m < 1:
-            raise ValidationError("cannot build a sampler over an empty graph")
-        self.graph = G
-        A = G.adjacency
-        self.indices = A.indices
-        self.data = A.data
-        self.alias = _RowAlias(A.indptr, A.data)
-
-    def neighbor_step(self, vertices, gen):
-        """One transition-matrix step from each vertex: (next, edge weight)."""
-        pos = self.alias.draw(vertices, gen)
-        return self.indices[pos], self.data[pos]
-
-    def uniform_edges(self, count, gen):
-        """(u, v, w) of uniformly drawn edges with uniform orientation."""
-        G = self.graph
-        e = gen.integers(0, G.m, count)
-        flip = gen.integers(0, 2, count).astype(bool)
-        a = np.where(flip, G.edge_v[e], G.edge_u[e])
-        b = np.where(flip, G.edge_u[e], G.edge_v[e])
-        return a, b, G.edge_w[e]
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """A sampled walk with its weight, resistance bound, and mass."""
-
-    vertices: tuple
-    weight: float
-    resistance_bound: float
-
-    @property
-    def mass(self):
-        return self.weight * self.resistance_bound
+    def draw(self, gen, rows=None, count=None):
+        """One slot per requested row, or `count` slots of a one-row table."""
+        if rows is None:
+            u = gen.random(count)
+            first, size = 0, len(self.cum)
+        else:
+            u = gen.random(len(rows))
+            first, size = self.indptr[rows], self.deg[rows]
+        slot = self.guide[first + (u * size).astype(np.int64)]
+        late = np.flatnonzero(self.cum[slot] <= u)
+        while len(late):
+            slot[late] += 1
+            late = late[self.cum[slot[late]] <= u[late]]
+        return slot
 
 
 @dataclass
@@ -141,7 +107,7 @@ class PathBatch:
 
     u0: np.ndarray
     ur: np.ndarray
-    weight: np.ndarray  # w(p), or an externally reweighted target weight
+    weight: np.ndarray  # w(p), times the product of aux over interior vertices
     mass: np.ndarray  # tau_p in the direction-identified convention
     vertices: np.ndarray | None = None  # (count, r+1) when recorded
 
@@ -156,79 +122,215 @@ def total_mass(r, m):
     return 2.0 * r * m
 
 
+@dataclass
+class WalkTemplate:
+    """Ordered edge layers with per-position resistance coefficients.
+
+    A walk (u_0 .. u_r) takes its i-th step inside layers[i-1]; all walk
+    normalizations use the shared base degree vector D. Position i's pivot
+    table selects a slot of layer i with mass left[i](a) right[i](b), where
+    the absorption vectors sum the normalized walk weights of the two
+    partial walks hanging off a step at position i; the step tables through
+    layer j carry the remaining absorption (back[j] toward u_0, fwd[j]
+    toward u_r).
+    """
+
+    layers: list
+    coeffs: np.ndarray
+    D: np.ndarray
+    tau_total: float
+    _pivot_mass: np.ndarray = field(repr=False)
+    _pivots: list = field(repr=False)
+    _rows: list = field(repr=False)
+    _back: list = field(repr=False)
+    _fwd: list = field(repr=False)
+
+    @property
+    def r(self):
+        return len(self.layers)
+
+
+def _assemble(mats, coeffs, D, left, right, tables) -> WalkTemplate:
+    """Template over absorption vectors, reusing tables already in `tables`.
+
+    Tables are keyed by (kind, layer, weight vector), so equal vectors on
+    the same layer share one table across positions and templates.
+    """
+
+    def table(key, make):
+        if key not in tables:
+            tables[key] = make()
+        return tables[key]
+
+    r = len(mats)
+    rows = [
+        table(("rows", id(m)), lambda m=m: np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)))
+        for m in mats
+    ]
+
+    def pivot(i):
+        mat, lv, rv = mats[i - 1], left[i], right[i]
+        return table(
+            ("pivot", id(mat), lv.tobytes(), rv.tobytes()),
+            lambda: _RowTable(np.array([0, mat.nnz]), lv[rows[i - 1]] * rv[mat.indices]),
+        )
+
+    def step(j, vec):
+        mat = mats[j - 1]
+        return table(
+            ("step", id(mat), vec.tobytes()),
+            lambda: _RowTable(mat.indptr, mat.data * vec[mat.indices]),
+        )
+
+    pivots = [pivot(i) for i in range(1, r + 1)]
+    mass = coeffs * np.array([float(t.total[0]) for t in pivots])
+    return WalkTemplate(
+        layers=mats,
+        coeffs=coeffs,
+        D=D,
+        tau_total=0.5 * float(mass.sum()),
+        _pivot_mass=mass,
+        _pivots=pivots,
+        _rows=rows,
+        _back=[step(j, left[j]) if j < r else None for j in range(1, r + 1)],
+        _fwd=[step(j, right[j]) if j > 1 else None for j in range(1, r + 1)],
+    )
+
+
+def build_template(layers, coeffs, D) -> WalkTemplate:
+    """Precompute absorption vectors, then the pivot and step tables."""
+    csr = {}  # one matrix per distinct layer, so positions can share its tables
+    mats = [
+        csr.setdefault(id(x), x.adjacency if isinstance(x, WeightedGraph) else sp.csr_matrix(x))
+        for x in layers
+    ]
+    r = len(mats)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    D = np.asarray(D, dtype=np.float64)
+    if len(coeffs) != r:
+        raise ValidationError("one coefficient per layer required")
+    if np.any(coeffs <= 0):
+        raise ValidationError("coefficients must be positive")
+    for j, mat in enumerate(mats):
+        if mat.nnz == 0:
+            raise ValidationError(f"layer {j} has an empty edge set")
+        if mat.shape != (len(D), len(D)):
+            raise ValidationError("layers must share the base vertex set")
+
+    ones = np.ones(len(D))
+    left = [None] * (r + 1)  # left[i] defined for i = 1..r
+    left[1] = ones
+    for i in range(1, r):
+        left[i + 1] = (mats[i - 1] @ left[i]) / D
+    right = [None] * (r + 1)  # right[i] defined for i = 1..r
+    right[r] = ones
+    for i in range(r - 1, 0, -1):
+        right[i] = (mats[i] @ right[i + 1]) / D
+    return _assemble(mats, coeffs, D, left, right, {})
+
+
+def sample_template_paths(tmpl: WalkTemplate, count, rng, aux=None, record_vertices=False):
+    """Draw walks from a template with probability tau_p / sum(tau).
+
+    aux, when given, is a per-vertex factor whose product over interior
+    vertices multiplies the returned target weight only; the sampling mass
+    w(p) Z(p) stays untouched or the reweighting in graph_sampling would
+    cancel it. Weights are accumulated in log space for r above 64.
+    """
+    gen = _as_generator(rng)
+    r = tmpl.r
+    log_space = r > LOG_SPACE_MIN_LENGTH
+    # in log space products become sums; np.asarray is the identity on arrays
+    mul, div, lift = (np.add, np.subtract, np.log) if log_space else (np.multiply, np.divide, np.asarray)
+    u0 = np.empty(count, dtype=np.int64)
+    ur = np.empty(count, dtype=np.int64)
+    w = np.empty(count)
+    z = np.empty(count)
+    ax = None if aux is None else np.full(count, 0.0 if log_space else 1.0)
+    verts = np.zeros((count, r + 1), dtype=np.int64) if record_vertices else None
+
+    # walks are grouped by pivot position, each group a contiguous block
+    per_pos = gen.multinomial(count, tmpl._pivot_mass / tmpl._pivot_mass.sum())
+    bounds = np.concatenate(([0], np.cumsum(per_pos)))
+    for i in np.flatnonzero(per_pos) + 1:
+        blk = slice(bounds[i - 1], bounds[i])
+        mat = tmpl.layers[i - 1]
+        slot = tmpl._pivots[i - 1].draw(gen, count=per_pos[i - 1])
+        wt = mat.data[slot]
+        wb, zb = w[blk], z[blk]
+        wb[:] = lift(wt)
+        np.divide(tmpl.coeffs[i - 1], wt, out=zb)
+        axb = None if ax is None else ax[blk]
+        a, b = tmpl._rows[i - 1][slot], mat.indices[slot]
+        if record_vertices:
+            verts[blk, i - 1] = a
+            verts[blk, i] = b
+        # backward through layers i-1..1 gives u_{j-1}; forward through
+        # i+1..r gives u_j. Every vertex stepped out of is interior.
+        for cur, path, end in (
+            (a, [(j, tmpl._back[j - 1], j - 1) for j in range(i - 1, 0, -1)], u0),
+            (b, [(j, tmpl._fwd[j - 1], j) for j in range(i + 1, r + 1)], ur),
+        ):
+            for j, tab, col in path:
+                mat = tmpl.layers[j - 1]
+                slot = tab.draw(gen, rows=cur)
+                wt = mat.data[slot]
+                mul(wb, lift(wt), out=wb)
+                div(wb, lift(tmpl.D[cur]), out=wb)
+                if axb is not None:
+                    mul(axb, lift(aux[cur]), out=axb)
+                zb += tmpl.coeffs[j - 1] / wt
+                cur = mat.indices[slot]
+                if record_vertices:
+                    verts[blk, col] = cur
+            end[blk] = cur
+
+    if log_space:
+        np.exp(w, out=w)
+        if ax is not None:
+            np.exp(ax, out=ax)
+    weight = w if ax is None else w * ax
+    z *= w
+    return PathBatch(u0=u0, ur=ur, weight=weight, mass=z, vertices=verts)
+
+
+class SamplerIndex:
+    """Shared row tables of one graph for its length-r monomial templates.
+
+    With D = A 1 every absorption vector is exactly one, so one uniform
+    pivot table and one step table over A serve every position of every
+    walk length.
+    """
+
+    def __init__(self, G: WeightedGraph):
+        if G.m < 1:
+            raise ValidationError("cannot build a sampler over an empty graph")
+        self.graph = G
+        self._ones = np.ones(G.n)
+        self._D = G.adjacency @ self._ones
+        self._tables = {}
+        self._templates = {}
+        self.template(2)  # builds both shared tables
+
+    def template(self, r) -> WalkTemplate:
+        """The monomial template [A]*r with coefficient 2 per position."""
+        if r not in self._templates:
+            ones = [self._ones] * (r + 1)
+            self._templates[r] = _assemble(
+                [self.graph.adjacency] * r, np.full(r, 2.0), self._D, ones, ones, self._tables
+            )
+        return self._templates[r]
+
+
 def sample_paths(idx: SamplerIndex, r, count, rng, aux=None, record_vertices=False):
     """Draw `count` length-r walks, each with probability tau_p / (2 r m).
 
     aux, when given, is a per-vertex factor whose product over interior
     vertices is accumulated into `weight` (used by the SDDM extension).
-    Weights are accumulated in log space for r above 64.
     """
     if r < 1:
         raise ValidationError("walk length must be >= 1")
-    gen = _as_generator(rng)
-    G = idx.graph
-    log_space = r > LOG_SPACE_MIN_LENGTH
-
-    a, b, we = idx.uniform_edges(count, gen)
-    k = gen.integers(1, r + 1, count)
-    w = np.log(we) if log_space else we.copy()
-    z = 2.0 / we
-    # aux multiplies the target weight only; the sampling mass w(p) Z(p)
-    # must stay untouched or the reweighting in graph_sampling cancels it.
-    ax = np.zeros(count) if log_space else np.ones(count)
-    left = a.copy()
-    right = b.copy()
-    verts = None
-    if record_vertices:
-        verts = np.zeros((count, r + 1), dtype=np.int64)
-        # column j will hold u_j; fill from the pivot outward
-        verts[np.arange(count), k - 1] = a
-        verts[np.arange(count), k] = b
-
-    for t in range(r - 1):
-        for side, steps in (("L", k - 1), ("R", r - k)):
-            active = np.nonzero(steps > t)[0]
-            if len(active) == 0:
-                continue
-            cur = left[active] if side == "L" else right[active]
-            nxt, wt = idx.neighbor_step(cur, gen)
-            if log_space:
-                w[active] += np.log(wt) - np.log(G.degree[cur])
-            else:
-                w[active] *= wt / G.degree[cur]
-            if aux is not None:
-                if log_space:
-                    ax[active] += np.log(aux[cur])
-                else:
-                    ax[active] *= aux[cur]
-            z[active] += 2.0 / wt
-            if side == "L":
-                left[active] = nxt
-                if record_vertices:
-                    verts[active, k[active] - 2 - t] = nxt
-            else:
-                right[active] = nxt
-                if record_vertices:
-                    verts[active, k[active] + 1 + t] = nxt
-
-    if log_space:
-        w = np.exp(w)
-        ax = np.exp(ax)
-    return PathBatch(u0=left, ur=right, weight=w * ax, mass=w * z, vertices=verts)
-
-
-def sample_path(idx: SamplerIndex, r, rng):
-    """Single-walk convenience wrapper returning a PathSample."""
-    batch = sample_paths(idx, r, 1, rng, record_vertices=True)
-    return PathSample(
-        vertices=tuple(int(x) for x in batch.vertices[0]),
-        weight=float(batch.weight[0]),
-        resistance_bound=float(batch.mass[0] / batch.weight[0]),
-    )
-
-
-def build_index(G: WeightedGraph) -> SamplerIndex:
-    return SamplerIndex(G)
+    return sample_template_paths(idx.template(r), count, rng, aux=aux, record_vertices=record_vertices)
 
 
 def graph_sampling(draw, tau_total, M, rng, n):
@@ -257,157 +359,3 @@ def graph_sampling(draw, tau_total, M, rng, n):
         done += count
     acc = sp.triu(acc, k=1).tocoo()
     return WeightedGraph(n, acc.row, acc.col, acc.data)
-
-
-# ---------------------------------------------------------------------------
-# Heterogeneous walk templates
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class WalkTemplate:
-    """Ordered edge layers with per-position resistance coefficients.
-
-    A walk (u_0 .. u_r) takes its i-th step inside layers[i-1]; all walk
-    normalizations use the shared base degree vector D. Selection masses and
-    exact per-step distributions come from the absorption vectors
-    left[i](a) and right[i](b), which sum the normalized walk weights of the
-    two partial walks hanging off a step at position i.
-    """
-
-    layers: list
-    coeffs: np.ndarray
-    D: np.ndarray
-    left: list = field(repr=False, default=None)
-    right: list = field(repr=False, default=None)
-    tau_total: float = 0.0
-    _selection: tuple = field(repr=False, default=None)
-    _back: dict = field(repr=False, default=None)
-    _fwd: dict = field(repr=False, default=None)
-
-    @property
-    def r(self):
-        return len(self.layers)
-
-
-def _layer_csr(layer):
-    if isinstance(layer, WeightedGraph):
-        return layer.adjacency
-    return sp.csr_matrix(layer)
-
-
-def build_template(layers, coeffs, D) -> WalkTemplate:
-    """Precompute absorption vectors, selection tables, and step tables."""
-    mats = [_layer_csr(layer) for layer in layers]
-    r = len(mats)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    D = np.asarray(D, dtype=np.float64)
-    if len(coeffs) != r:
-        raise ValidationError("one coefficient per layer required")
-    if np.any(coeffs <= 0):
-        raise ValidationError("coefficients must be positive")
-    for j, mat in enumerate(mats):
-        if mat.nnz == 0:
-            raise ValidationError(f"layer {j} has an empty edge set")
-        if mat.shape != (len(D), len(D)):
-            raise ValidationError("layers must share the base vertex set")
-
-    ones = np.ones(len(D))
-    left = [None] * (r + 1)  # left[i] defined for i = 1..r
-    left[1] = ones.copy()
-    for i in range(1, r):
-        left[i + 1] = (mats[i - 1] @ left[i]) / D
-    right = [None] * (r + 1)  # right[i] defined for i = 1..r
-    right[r] = ones.copy()
-    for i in range(r - 1, 0, -1):
-        right[i] = (mats[i] @ right[i + 1]) / D
-
-    # flat selection table over (position i, directed edge of layer i)
-    masses = []
-    meta = []
-    for i in range(1, r + 1):
-        mat = mats[i - 1].tocoo()
-        m_i = coeffs[i - 1] * left[i][mat.row] * right[i][mat.col]
-        masses.append(m_i)
-        meta.append((np.full(len(m_i), i, dtype=np.int64), mat.row, mat.col, mat.data))
-    flat_mass = np.concatenate(masses)
-    cum = np.cumsum(flat_mass)
-    sel_pos = np.concatenate([t[0] for t in meta])
-    sel_a = np.concatenate([t[1] for t in meta])
-    sel_b = np.concatenate([t[2] for t in meta])
-    sel_w = np.concatenate([t[3] for t in meta])
-
-    tmpl = WalkTemplate(layers=mats, coeffs=coeffs, D=D, left=left, right=right)
-    tmpl.tau_total = 0.5 * float(cum[-1])
-    tmpl._selection = (cum, sel_pos, sel_a, sel_b, sel_w)
-    # step tables reweighted by the remaining absorption
-    tmpl._back = {}
-    tmpl._fwd = {}
-    for j in range(1, r):  # backward through layer j chooses u_{j-1}
-        mat = mats[j - 1]
-        data = mat.data * left[j][mat.indices]
-        tmpl._back[j] = (_RowAlias(mat.indptr, data), mat.indices, mat.data)
-    for j in range(2, r + 1):  # forward through layer j chooses u_j
-        mat = mats[j - 1]
-        data = mat.data * right[j][mat.indices]
-        tmpl._fwd[j] = (_RowAlias(mat.indptr, data), mat.indices, mat.data)
-    return tmpl
-
-
-def sample_template_paths(tmpl: WalkTemplate, count, rng, record_vertices=False):
-    """Draw walks from a template with probability tau_p / sum(tau)."""
-    gen = _as_generator(rng)
-    r = tmpl.r
-    D = tmpl.D
-    cum, sel_pos, sel_a, sel_b, sel_w = tmpl._selection
-    pick = np.searchsorted(cum, gen.random(count) * cum[-1], side="right")
-    pick = np.minimum(pick, len(cum) - 1)
-    pos = sel_pos[pick]
-    a = sel_a[pick].copy()
-    b = sel_b[pick].copy()
-    w = sel_w[pick].copy()
-    z = tmpl.coeffs[pos - 1] / w
-    interior_a = pos - 1 >= 1
-    interior_b = pos <= r - 1
-    w[interior_a] /= D[a[interior_a]]
-    w[interior_b] /= D[b[interior_b]]
-    verts = None
-    if record_vertices:
-        verts = np.zeros((count, r + 1), dtype=np.int64)
-        verts[np.arange(count), pos - 1] = a
-        verts[np.arange(count), pos] = b
-
-    left_end = a.copy()
-    right_end = b.copy()
-    for i in range(1, r + 1):
-        grp = np.nonzero(pos == i)[0]
-        if len(grp) == 0:
-            continue
-        cur = left_end[grp]
-        for j in range(i - 1, 0, -1):
-            alias, indices, raw = tmpl._back[j]
-            slot = alias.draw(cur, gen)
-            nxt, wt = indices[slot], raw[slot]
-            w[grp] *= wt
-            if j - 1 >= 1:
-                w[grp] /= D[nxt]
-            z[grp] += tmpl.coeffs[j - 1] / wt
-            if record_vertices:
-                verts[grp, j - 1] = nxt
-            cur = nxt
-        left_end[grp] = cur
-        cur = right_end[grp]
-        for j in range(i + 1, r + 1):
-            alias, indices, raw = tmpl._fwd[j]
-            slot = alias.draw(cur, gen)
-            nxt, wt = indices[slot], raw[slot]
-            w[grp] *= wt
-            if j <= r - 1:
-                w[grp] /= D[nxt]
-            z[grp] += tmpl.coeffs[j - 1] / wt
-            if record_vertices:
-                verts[grp, j] = nxt
-            cur = nxt
-        right_end[grp] = cur
-
-    return PathBatch(u0=left_end, ur=right_end, weight=w, mass=w * z, vertices=verts)

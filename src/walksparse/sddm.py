@@ -9,7 +9,6 @@ matrix-vector products and returned alongside the sampled graph.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +16,7 @@ import numpy as np
 from .errors import InputRefusedError, ValidationError
 from .graph import PolyCoeffs, SddmMatrix, WeightedGraph
 from .sampling import RngStream, SamplerIndex, graph_sampling
-from .sparsify import SparsifyConfig, _mixture_draw, stage_one_edge_budget
-
-log = logging.getLogger(__name__)
+from .sparsify import SparsifyConfig, _join_components, _mixture_draw, _split_components, stage_one_edge_budget
 
 
 def extra_diagonal(M: SddmMatrix, alpha: PolyCoeffs) -> np.ndarray:
@@ -76,7 +73,11 @@ def sparsify_sddm(M: SddmMatrix, alpha: PolyCoeffs, cfg: SparsifyConfig, rng) ->
                 "off-diagonal graph is disconnected; sparsify components separately "
                 "(pass allow_disconnected)"
             )
-        return _sparsify_sddm_components(M, alpha, cfg, rng, extra)
+        parts = []
+        for k, (verts, sub) in enumerate(_split_components(G)):
+            rng_k = rng.split(2000 + k) if isinstance(rng, RngStream) else rng
+            parts.append((verts, sparsify_sddm(SddmMatrix(M.diag[verts], sub), alpha, cfg, rng_k).graph))
+        return SddmPolyResult(graph=_join_components(G.n, parts), extra=np.maximum(extra, 0.0))
 
     idx = SamplerIndex(G)
     aux = np.where(M.diag > 0, G.degree / M.diag, 0.0)
@@ -86,24 +87,5 @@ def sparsify_sddm(M: SddmMatrix, alpha: PolyCoeffs, cfg: SparsifyConfig, rng) ->
     if cfg.second_stage:
         from .resistance import resparsify
 
-        if H.is_connected():
-            sub = rng.split(1) if isinstance(rng, RngStream) else rng
-            H = resparsify(H, cfg.eps_stage_two, cfg, sub)
-        else:
-            log.warning("sampled graph disconnected; skipping second-stage resparsify")
+        H = resparsify(H, cfg.eps_stage_two, cfg, rng.split(1) if isinstance(rng, RngStream) else rng)
     return SddmPolyResult(graph=H, extra=np.maximum(extra, 0.0))
-
-
-def _sparsify_sddm_components(M, alpha, cfg, rng, extra):
-    from .sparsify import _split_components
-
-    G = M.offdiag
-    parts = []
-    for k, (verts, sub) in enumerate(_split_components(G)):
-        sub_m = SddmMatrix(M.diag[verts], sub)
-        rng_k = rng.split(2000 + k) if isinstance(rng, RngStream) else rng
-        res = sparsify_sddm(sub_m, alpha, cfg, rng_k)
-        H = res.graph
-        parts.extend((verts[u], verts[v], w) for u, v, w in zip(H.edge_u, H.edge_v, H.edge_w))
-    graph = WeightedGraph.from_edges(G.n, parts)
-    return SddmPolyResult(graph=graph, extra=np.maximum(extra, 0.0))

@@ -9,14 +9,14 @@ down to the n log n budget using solver-estimated effective resistances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InputRefusedError, ValidationError
 from .graph import PolyCoeffs, WeightedGraph
-from .sampling import RngStream, SamplerIndex, graph_sampling, sample_paths, total_mass
+from .sampling import PathBatch, RngStream, SamplerIndex, graph_sampling, sample_paths, total_mass
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,6 @@ class SparsifyConfig:
     second_stage: bool = True
     split: float = 0.5
     allow_disconnected: bool = False
-    dense_threshold: int = 512
 
     def __post_init__(self):
         if not (0 < self.epsilon <= 1):
@@ -73,34 +72,17 @@ def _mixture_draw(idx: SamplerIndex, alpha: PolyCoeffs, aux=None):
     probs = weights / weights.sum()
 
     def draw(count, gen):
-        counts = gen.multinomial(count, probs)
-        batches = []
-        for r, c in zip(lengths, counts):
-            if c == 0:
-                continue
-            batch = sample_paths(idx, int(r), int(c), gen, aux=aux)
-            a_r = alpha.alpha[r - 1]
-            batch.weight = batch.weight * a_r
-            batch.mass = batch.mass * a_r
-            batches.append(batch)
-        from .sampling import PathBatch
-
-        return PathBatch(
-            u0=np.concatenate([b.u0 for b in batches]),
-            ur=np.concatenate([b.ur for b in batches]),
-            weight=np.concatenate([b.weight for b in batches]),
-            mass=np.concatenate([b.mass for b in batches]),
-        )
+        # alpha_r scales both the target weight and the sampling mass of a
+        # length-r walk, so it cancels in graph_sampling and is left out
+        batches = [
+            sample_paths(idx, int(r), int(c), gen, aux=aux)
+            for r, c in zip(lengths, gen.multinomial(count, probs))
+            if c > 0
+        ]
+        cols = zip(*((b.u0, b.ur, b.weight, b.mass) for b in batches))
+        return PathBatch(*(np.concatenate(col) for col in cols))
 
     return draw, float(weights.sum())
-
-
-def _require_connected(G: WeightedGraph, cfg: SparsifyConfig):
-    if not G.is_connected() and not cfg.allow_disconnected:
-        raise InputRefusedError(
-            "graph is disconnected; effective-resistance bounds need paths between "
-            "sampled endpoints (pass allow_disconnected to process components separately)"
-        )
 
 
 def _split_components(G: WeightedGraph):
@@ -117,19 +99,29 @@ def _split_components(G: WeightedGraph):
         )
 
 
+def _join_components(n, parts):
+    """Union of component graphs, each given with its vertex ids in the whole."""
+    u = np.concatenate([verts[H.edge_u] for verts, H in parts])
+    v = np.concatenate([verts[H.edge_v] for verts, H in parts])
+    w = np.concatenate([H.edge_w for _, H in parts])
+    return WeightedGraph(n, u, v, w)
+
+
 def sparsify_poly(G: WeightedGraph, alpha: PolyCoeffs, cfg: SparsifyConfig, rng) -> WeightedGraph:
     """Sparsifier H with L_H ~ L_alpha(G) within exp(+-epsilon) w.h.p."""
     if G.m < 1:
         raise ValidationError("graph has no edges")
     if not G.is_connected():
         if not cfg.allow_disconnected:
-            _require_connected(G, cfg)
+            raise InputRefusedError(
+                "graph is disconnected; effective-resistance bounds need paths between "
+                "sampled endpoints (pass allow_disconnected to process components separately)"
+            )
         parts = []
         for k, (verts, sub) in enumerate(_split_components(G)):
             rng_k = rng.split(1000 + k) if isinstance(rng, RngStream) else rng
-            H = sparsify_poly(sub, alpha, cfg, rng_k)
-            parts.extend((verts[u], verts[v], w) for u, v, w in zip(H.edge_u, H.edge_v, H.edge_w))
-        return WeightedGraph.from_edges(G.n, parts)
+            parts.append((verts, sparsify_poly(sub, alpha, cfg, rng_k)))
+        return _join_components(G.n, parts)
 
     idx = SamplerIndex(G)
     draw, tau = _mixture_draw(idx, alpha)
@@ -147,7 +139,3 @@ def sparsify_monomial(G: WeightedGraph, r, cfg: SparsifyConfig, rng) -> Weighted
     if r < 1:
         raise ValidationError("monomial degree must be >= 1")
     return sparsify_poly(G, PolyCoeffs.monomial(r), cfg, rng)
-
-
-def with_epsilon(cfg: SparsifyConfig, eps):
-    return replace(cfg, epsilon=eps)

@@ -1,4 +1,5 @@
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from walksparse import (
     qth_root_coefficients,
     qth_root_reduce_step,
 )
-from walksparse.newton import NEWTON_ALPHA, dense_newton_step, spectral_radius
+from walksparse.newton import NEWTON_ALPHA, AffineFactor, dense_newton_step, spectral_radius
 
 from conftest import random_sddm
 
@@ -172,3 +173,7 @@ class TestSpectralRadius:
         X = isq[:, None] * M.offdiag.adjacency_dense() * isq[None, :]
         truth = np.max(np.abs(np.linalg.eigvalsh(X)))
         assert spectral_radius(M) == pytest.approx(truth, rel=1e-3)
+
+
+def test_affine_factor_type_hints_resolve():
+    assert typing.get_type_hints(AffineFactor)["graph"] is WeightedGraph

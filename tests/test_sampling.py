@@ -10,12 +10,11 @@ from walksparse import (
     WeightedGraph,
     build_template,
     graph_sampling,
-    sample_path,
     sample_paths,
     sample_template_paths,
 )
 from walksparse.oracle import canonical_path_masses, enumerate_paths
-from walksparse.sampling import total_mass
+from walksparse.sampling import _RowTable, total_mass
 
 from conftest import er_graph, ring_graph
 
@@ -38,25 +37,37 @@ class TestRngStream:
 
 class TestSamplerIndex:
     def test_uniform_edge_distribution(self):
+        # a length-1 walk is its pivot edge, drawn from the uniform pivot table
         G = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 5.0), (2, 3, 0.1)])
-        idx = SamplerIndex(G)
-        gen = np.random.default_rng(0)
-        a, b, w = idx.uniform_edges(30000, gen)
+        batch = sample_paths(SamplerIndex(G), 1, 30000, np.random.default_rng(0))
+        a, b = batch.u0, batch.ur
         # edges uniform regardless of weight; orientations both present
         lo = np.minimum(a, b)
         counts = np.bincount(lo, minlength=4)
         for e in range(3):
             assert counts[e] == pytest.approx(10000, rel=0.1)
         assert np.any(a > b) and np.any(a < b)
+        np.testing.assert_allclose(batch.mass, 2.0)
 
     def test_neighbor_step_weight_proportional(self):
         G = WeightedGraph.from_edges(3, [(0, 1, 3.0), (0, 2, 1.0)])
-        idx = SamplerIndex(G)
+        A = G.adjacency
         gen = np.random.default_rng(1)
-        nxt, wt = idx.neighbor_step(np.zeros(40000, dtype=np.int64), gen)
+        slot = _RowTable(A.indptr, A.data).draw(gen, rows=np.zeros(40000, dtype=np.int64))
+        nxt, wt = A.indices[slot], A.data[slot]
         frac = np.mean(nxt == 1)
         assert frac == pytest.approx(0.75, abs=0.01)
         np.testing.assert_array_equal(wt, np.where(nxt == 1, 3.0, 1.0))
+
+    def test_row_table_keeps_tiny_rows_exact(self):
+        # a raw global cumsum rounds the second row's increments to zero
+        indptr = np.array([0, 500, 502])
+        weights = np.concatenate([np.full(500, 1e8), [1e-8, 3e-8]])
+        gen = np.random.default_rng(2)
+        slot = _RowTable(indptr, weights).draw(gen, rows=np.ones(40000, dtype=np.int64))
+        assert slot.min() >= 500
+        assert np.mean(slot == 500) == pytest.approx(0.25, abs=0.01)
+        assert np.mean(slot == 501) == pytest.approx(0.75, abs=0.01)
 
 
 class TestSamplePaths:
@@ -67,13 +78,16 @@ class TestSamplePaths:
         np.testing.assert_allclose(batch.mass, 4.0)
 
     def test_weights_match_enumeration(self, triangle):
+        # aux multiplies the target weight over interior vertices, not the mass
         idx = SamplerIndex(triangle)
-        batch = sample_paths(idx, 3, 200, RngStream(1), record_vertices=True)
+        aux = np.array([0.5, 0.9, 0.25])
+        batch = sample_paths(idx, 3, 200, RngStream(1), aux=aux, record_vertices=True)
         lookup = {p.vertices: p for p in enumerate_paths(triangle, 3)}
         for i in range(len(batch)):
             verts = tuple(int(x) for x in batch.vertices[i])
             p = lookup[verts]
-            assert batch.weight[i] == pytest.approx(p.weight, rel=1e-12)
+            factor = np.prod(aux[list(verts[1:-1])])
+            assert batch.weight[i] == pytest.approx(p.weight * factor, rel=1e-12)
             assert batch.mass[i] == pytest.approx(p.mass, rel=1e-12)
 
     def test_distribution_matches_tau(self, triangle):
@@ -104,11 +118,6 @@ class TestSamplePaths:
     def test_invalid_length(self, triangle):
         with pytest.raises(ValidationError):
             sample_paths(SamplerIndex(triangle), 0, 10, RngStream(0))
-
-    def test_sample_path_single(self, triangle):
-        p = sample_path(SamplerIndex(triangle), 3, RngStream(5))
-        assert len(p.vertices) == 4
-        assert p.mass == pytest.approx(p.weight * p.resistance_bound)
 
 
 class TestGraphSampling:

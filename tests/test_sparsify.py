@@ -111,6 +111,24 @@ class TestSparsifyPoly:
         rep = similarity_check(H.laplacian_dense(), dense_poly(G, alpha), 0.5)
         assert rep.passed, rep.as_kv()
 
+    def test_bipartite_even_monomial_two_stages(self):
+        # the 2-step walks of a bipartite graph split into two components, so
+        # stage 2 resparsifies each one
+        gen = np.random.default_rng(13)
+        u = gen.integers(0, 100, 1500)
+        v = 100 + gen.integers(0, 100, 1500)
+        G = WeightedGraph.from_edges(200, list(zip(u, v, np.ones(1500))))
+        assert G.is_connected() and G.is_bipartite()
+        alpha = PolyCoeffs.parse("0,1")
+        cfg = SparsifyConfig(epsilon=1.0, oversample=1.0)
+        stage_one = SparsifyConfig(epsilon=cfg.eps_stage_one, oversample=1.0, second_stage=False)
+        H1 = sparsify_poly(G, alpha, stage_one, RngStream(14))
+        assert H1.m > stage_two_edge_budget(G.n, cfg.eps_stage_two, cfg)
+        H = sparsify_poly(G, alpha, cfg, RngStream(14))
+        assert H.m < H1.m
+        rep = similarity_check(H.laplacian_dense(), dense_poly(G, alpha), cfg.epsilon)
+        assert rep.passed, rep.as_kv()
+
     def test_empty_graph_rejected(self):
         G = WeightedGraph.from_edges(3, [])
         with pytest.raises(ValidationError):
