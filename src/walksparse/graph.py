@@ -19,7 +19,8 @@ from .errors import GraphFormatError, ValidationError
 log = logging.getLogger(__name__)
 
 DEGREE_RTOL = 1e-12
-# Largest n handled by dense methods: the oracle, dense validation and exact ER.
+# Largest n handled by dense methods: the oracle and dense validation. Effective
+# resistances are exact up to n = max(DENSE_THRESHOLD, JL sketch width).
 DENSE_THRESHOLD = 512
 
 

@@ -1,9 +1,12 @@
 """Effective-resistance estimation, second-stage sparsification, and the
 resistance query oracle for sparsified walk polynomials.
 
-Small graphs get exact resistances from the dense pseudoinverse; larger ones
-use a Johnson-Lindenstrauss sketch of the incidence operator solved against
-the Laplacian with Jacobi-preconditioned conjugate gradients.
+Resistances are exact, from one Cholesky factorization of the grounded
+Laplacian, unless n exceeds both DENSE_THRESHOLD and the width k of the
+Johnson-Lindenstrauss sketch that would replace it: below that, the
+sketch's k x n potentials cost at least n solves and as much memory. The
+sketch projects the incidence operator and solves against the Laplacian
+with Jacobi-preconditioned conjugate gradients.
 """
 
 from __future__ import annotations
@@ -14,12 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, InputRefusedError, ValidationError
 from .graph import DENSE_THRESHOLD, PolyCoeffs, WeightedGraph
-from .oracle import exact_er_matrix
 from .sampling import RngStream, _as_generator
 from .sparsify import SparsifyConfig, _join_components, _split_components, sparsify_poly, stage_two_edge_budget
+
+
+# sign entries drawn per row block of the sketch (8 MB as int64)
+SKETCH_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -62,29 +70,78 @@ def _grounded_solve(G: WeightedGraph, rhs, rtol=1e-8):
     return out
 
 
+def _sketch_width(n, delta):
+    """JL width k = ceil(24 ln n / delta^2) of the sketch at error delta."""
+    return int(math.ceil(24 * math.log(max(n, 2)) / delta**2))
+
+
+def _default_method(n, delta):
+    """Exact unless n exceeds both DENSE_THRESHOLD and the sketch width.
+
+    At n <= k the sketch's k x n potentials hold at least as many entries as
+    the n x n grounded inverse and take at least n solves.
+    """
+    return "dense-exact" if n <= max(DENSE_THRESHOLD, _sketch_width(n, delta)) else "sketch"
+
+
+def _grounded_inverse(G: WeightedGraph):
+    """n x n X holding L^-1 grounded at g = argmax(degree), zero in row and column g.
+
+    Only the upper triangle is filled, so read X[a, b] with a <= b; then
+    R(u, v) = X[u, u] + X[v, v] - 2 X[min(u, v), max(u, v)]. G must be
+    connected, which makes the grounded Laplacian positive definite.
+    Grounding at the heaviest vertex keeps the Cholesky pivots away from
+    roundoff when edge weights span many orders of magnitude.
+    """
+    keep = np.arange(G.n) != np.argmax(G.degree)
+    red = G.laplacian().tocsr()[keep][:, keep].toarray(order="F")
+    chol, info = lapack.dpotrf(red, lower=0, clean=1, overwrite_a=1)
+    if info == 0:
+        chol, info = lapack.dpotri(chol, lower=0, overwrite_c=1)
+    if info != 0:
+        raise InputRefusedError(
+            f"grounded Laplacian is not numerically positive definite (pivot {info}); "
+            "edge weights span too many orders of magnitude for exact resistances"
+        )
+    X = np.zeros((G.n, G.n))
+    X[np.ix_(keep, keep)] = chol
+    return X
+
+
 def _sketch_potentials(G: WeightedGraph, delta, rng, rtol=1e-8):
-    """k x n matrix whose column differences approximate resistances."""
+    """k x n matrix whose column differences approximate resistances.
+
+    Y = S B is accumulated from row blocks of the k x m sign matrix S; the
+    blocks draw the same stream as one k x m draw would.
+    """
     gen = _as_generator(rng)
-    k = int(math.ceil(24 * math.log(max(G.n, 2)) / delta**2))
+    k = _sketch_width(G.n, delta)
     B = _incidence_rows(G)
-    signs = gen.integers(0, 2, (k, G.m)) * 2 - 1
-    Y = (signs / math.sqrt(k)) @ B
-    return _grounded_solve(G, np.asarray(Y), rtol=rtol)
+    Y = np.empty((k, G.n))
+    rows = max(1, SKETCH_BLOCK_ENTRIES // max(G.m, 1))
+    for i in range(0, k, rows):
+        signs = gen.integers(0, 2, (min(rows, k - i), G.m)) * 2 - 1
+        Y[i:i + len(signs)] = (signs / math.sqrt(k)) @ B
+    return _grounded_solve(G, Y, rtol=rtol)
 
 
 def estimate_er(H: WeightedGraph, delta=0.2, method=None, rng=None, rtol=1e-8) -> ErEstimates:
     """Per-edge effective-resistance upper bounds for an explicit graph.
 
-    Dense pseudoinverse when n <= 512 (exact); otherwise a JL sketch whose
-    estimates are inflated by (1 + delta)^2 to remain upper bounds w.h.p.
+    Exact from the grounded Cholesky inverse unless n exceeds both
+    DENSE_THRESHOLD and the sketch width k = ceil(24 ln n / delta^2); then a
+    JL sketch whose estimates are inflated by (1 + delta)^2 to remain upper
+    bounds w.h.p. method='sketch' or 'dense-exact' overrides the choice.
     """
     if not H.is_connected():
         raise InputRefusedError("effective-resistance estimation needs a connected graph")
     if method is None:
-        method = "dense-exact" if H.n <= DENSE_THRESHOLD else "sketch"
+        method = _default_method(H.n, delta)
     if method == "dense-exact":
-        R = exact_er_matrix(H.laplacian_dense())
-        return ErEstimates(Z=R[H.edge_u, H.edge_v].copy(), method=method)
+        X = _grounded_inverse(H)
+        d = np.diagonal(X)
+        # edge_u < edge_v, so X[edge_u, edge_v] lies in the filled triangle
+        return ErEstimates(Z=d[H.edge_u] + d[H.edge_v] - 2 * X[H.edge_u, H.edge_v], method=method)
     if method == "sketch":
         if rng is None:
             rng = RngStream(0, 0)
@@ -143,8 +200,9 @@ class ErOracle:
         if u == v:
             return 0.0
         if self.method == "dense-exact":
-            Lp = self._state
-            return float(Lp[u, u] + Lp[v, v] - Lp[u, v] - Lp[v, u])
+            X = self._state  # upper triangle of the grounded inverse
+            a, b = min(u, v), max(u, v)
+            return float(X[a, a] + X[b, b] - 2 * X[a, b])
         pot = self._state
         d = pot[:, u] - pot[:, v]
         return float(d @ d)
@@ -159,14 +217,28 @@ def er_oracle_build(
     cfg: SparsifyConfig = None,
     method=None,
 ) -> ErOracle:
-    """Sparsify L_alpha(G), then precompute resistance query state."""
+    """Sparsify L_alpha(G), then precompute resistance query state.
+
+    The query state is the grounded inverse, or the potentials of a sketch
+    at delta / 2, chosen as in estimate_er. A disconnected sparsifier is
+    refused, since resistances across its components are infinite.
+    """
     if cfg is None:
         cfg = SparsifyConfig(epsilon=eps)
     H = sparsify_poly(G, alpha, cfg, rng)
+    ncomp = connected_components(H.adjacency, directed=False)[0]
+    if ncomp > 1:
+        isolated = int(np.count_nonzero(H.degree == 0))
+        stage = "stage-2" if cfg.second_stage else "stage-1"
+        raise InputRefusedError(
+            f"the {stage} sparsifier of L_alpha(G) is disconnected ({ncomp} components, "
+            f"{isolated} isolated vertices), so resistances across components are infinite; "
+            "a larger oversample constant keeps more edges"
+        )
     if method is None:
-        method = "dense-exact" if H.n <= DENSE_THRESHOLD else "sketch"
+        method = _default_method(H.n, delta / 2)
     if method == "dense-exact":
-        state = np.linalg.pinv(H.laplacian_dense(), rcond=1e-12)
+        state = _grounded_inverse(H)
     else:
         sub = rng.split(77) if isinstance(rng, RngStream) else rng
         state = _sketch_potentials(H, delta / 2, sub)
