@@ -2,10 +2,12 @@
 operation scheduling, and the high-degree driver.
 
 Starting from a degree-2 sparsifier D - A~, SQUARE doubles the walk degree
-by sampling length-2 paths of D - A~ D^-1 A~, and PLUS adds 4 by sampling
-the length-5 pattern (A A A~ A A). Both reuse the heterogeneous template
-sampler; per-step error budgets follow the eps/(2k) composition rule with a
-final re-sparsification at eps/2.
+via the length-2 paths of D - A~ D^-1 A~, and PLUS adds 4 via the length-5
+pattern (A A A~ A A). Each step computes its product exactly when the
+sparse-product chain costs at most the walks it would draw, and otherwise
+samples the pattern with the heterogeneous template sampler. Per-step error
+budgets follow the eps/(2k) composition rule with a final
+re-sparsification at eps/2.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import scipy.sparse as sp
 from .errors import InputRefusedError, ValidationError
 from .graph import WeightedGraph
 from .sampling import RngStream, build_template, graph_sampling, sample_template_paths
-from .sparsify import SparsifyConfig, _log_n, sparsify_monomial
+from .sparsify import SparsifyConfig, _log_n, exact_walk_graph, sparsify_monomial
 
 log = logging.getLogger(__name__)
 
@@ -120,12 +122,19 @@ def _clamp_degree_excess(approx: MonomialApprox) -> MonomialApprox:
 
 
 def _template_sparsify(layers, coeffs, D, eps, cfg: SparsifyConfig, rng, n):
-    """Sample a template at stage-one budget, then re-sparsify."""
+    """Stage one of a template at its sample budget M, then re-sparsify.
+
+    The product L_1 D^-1 L_2 ... D^-1 L_r is computed exactly when that costs
+    at most M multiply-adds; only then are M walks drawn. The coefficients
+    shape the sampling masses alone, so the exact route ignores them.
+    """
     local = replace(cfg, epsilon=eps)
     tmpl = build_template(layers, coeffs, D)
     M = int(math.ceil(cfg.oversample * _log_n(n) / local.eps_stage_one**2 * tmpl.tau_total))
-    draw = lambda count, gen: sample_template_paths(tmpl, count, gen)
-    H = graph_sampling(draw, tmpl.tau_total, M, rng, n)
+    H = exact_walk_graph(tmpl.layers, tmpl.D, M, cfg)
+    if H is None:
+        draw = lambda count, gen: sample_template_paths(tmpl, count, gen)
+        H = graph_sampling(draw, tmpl.tau_total, M, rng, n)
     if local.second_stage:
         from .resistance import resparsify
 

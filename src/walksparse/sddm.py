@@ -1,6 +1,8 @@
 """Walk-polynomial sparsification for SDDM matrices D - A with slack.
 
-The off-diagonal graph is sampled with respect to its own degrees D_g;
+The off-diagonal part sum_r alpha_r A (D^-1 A)^{r-1} is computed exactly
+when its sparse-product chain is cheaper than the stage's walks. Otherwise
+the off-diagonal graph is sampled with respect to its own degrees D_g;
 the mismatch against the SDDM diagonal D is folded into each walk's target
 weight as the per-interior-vertex ratio D_g(u) / D(u), which never exceeds
 one. The excess diagonal of the polynomial is computed exactly by sparse
@@ -16,7 +18,14 @@ import numpy as np
 from .errors import InputRefusedError, ValidationError
 from .graph import PolyCoeffs, SddmMatrix, WeightedGraph
 from .sampling import RngStream, SamplerIndex, graph_sampling
-from .sparsify import SparsifyConfig, _join_components, _mixture_draw, _split_components, stage_one_edge_budget
+from .sparsify import (
+    SparsifyConfig,
+    _join_components,
+    _mixture_draw,
+    _split_components,
+    exact_walk_graph,
+    stage_one_edge_budget,
+)
 
 
 def extra_diagonal(M: SddmMatrix, alpha: PolyCoeffs) -> np.ndarray:
@@ -79,11 +88,12 @@ def sparsify_sddm(M: SddmMatrix, alpha: PolyCoeffs, cfg: SparsifyConfig, rng) ->
             parts.append((verts, sparsify_sddm(SddmMatrix(M.diag[verts], sub), alpha, cfg, rng_k).graph))
         return SddmPolyResult(graph=_join_components(G.n, parts), extra=np.maximum(extra, 0.0))
 
-    idx = SamplerIndex(G)
-    aux = np.where(M.diag > 0, G.degree / M.diag, 0.0)
-    draw, tau = _mixture_draw(idx, alpha, aux=aux)
     count = stage_one_edge_budget(alpha, G.m, G.n, cfg)
-    H = graph_sampling(draw, tau, count, rng, G.n)
+    H = exact_walk_graph([G.adjacency] * alpha.d, M.diag, count, cfg, alpha.alpha)
+    if H is None:
+        aux = np.where(M.diag > 0, G.degree / M.diag, 0.0)
+        draw, tau = _mixture_draw(SamplerIndex(G), alpha, aux=aux)
+        H = graph_sampling(draw, tau, count, rng, G.n)
     if cfg.second_stage:
         from .resistance import resparsify
 

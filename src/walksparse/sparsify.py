@@ -1,22 +1,30 @@
 """Sparsification of random-walk matrix polynomials by path sampling.
 
-Stage one draws walks with masses tau_p = alpha_r w(p) Z(p) (walk lengths
-picked proportionally to alpha_r * 2 r m so the estimator is unbiased) and
+Stage one builds an explicit graph whose Laplacian is within the stage-one
+eps of L_alpha(G). It computes the polynomial's off-diagonal exactly, by a
+chain of sparse products, when that chain costs at most the M multiply-adds
+the stage would spend on its M walks (exact_walk_graph); otherwise it draws
+M walks with masses tau_p = alpha_r w(p) Z(p) (walk lengths picked
+proportionally to alpha_r * 2 r m so the estimator is unbiased) and
 aggregates the endpoint edges. Stage two re-sparsifies the explicit result
 down to the n log n budget using solver-estimated effective resistances.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InputRefusedError, ValidationError
 from .graph import PolyCoeffs, WeightedGraph
 from .sampling import PathBatch, RngStream, SamplerIndex, graph_sampling, sample_paths, total_mass
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -25,6 +33,8 @@ class SparsifyConfig:
 
     split is the fraction of the epsilon budget spent in stage one;
     oversample is the leading constant c_s in every sample-count formula.
+    route "auto" computes a stage-one product exactly when that costs at most
+    the M walks it would draw; "sample" always draws the walks.
     """
 
     epsilon: float
@@ -32,6 +42,7 @@ class SparsifyConfig:
     second_stage: bool = True
     split: float = 0.5
     allow_disconnected: bool = False
+    route: str = "auto"
 
     def __post_init__(self):
         if not (0 < self.epsilon <= 1):
@@ -40,6 +51,8 @@ class SparsifyConfig:
             raise ValidationError("oversample constant must be positive")
         if not (0 < self.split < 1):
             raise ValidationError("split must lie in (0, 1)")
+        if self.route not in ("auto", "sample"):
+            raise ValidationError("route must be 'auto' or 'sample'")
 
     @property
     def eps_stage_one(self):
@@ -62,6 +75,40 @@ def stage_one_edge_budget(alpha: PolyCoeffs, m, n, cfg: SparsifyConfig):
 
 def stage_two_edge_budget(n, eps, cfg: SparsifyConfig):
     return int(math.ceil(cfg.oversample * n * _log_n(n) / eps**2))
+
+
+def exact_walk_graph(layers, D, M, cfg: SparsifyConfig, alpha=None):
+    """Off-diagonal of P = sum_j alpha_j L_1 D^-1 L_2 ... D^-1 L_j, or None.
+
+    layers are CSR matrices; alpha defaults to the full product alone. The
+    prefix chain X_j = X_{j-1} D^-1 L_j is formed one product at a time, each
+    costing sum_k nnz(X[:, k]) nnz(L_j[k, :]) multiply-adds. Once their running
+    total exceeds M, the number of walks the stage would draw, sampling is
+    cheaper and None is returned; cfg.route "sample" returns None at once.
+    The result is the strictly upper triangle of (P + P^T) / 2, the graph
+    whose expectation graph_sampling estimates.
+    """
+    if cfg.route == "sample":
+        log.info("stage 1 sample: route 'sample', M = %s", f"{M:,}")
+        return None
+    weights = np.eye(len(layers))[-1] if alpha is None else np.asarray(alpha, dtype=np.float64)
+    layers = layers[: np.flatnonzero(weights)[-1] + 1]
+    n = len(D)
+    X = layers[0]
+    P = weights[0] * X
+    flops = 0
+    for L, a in zip(layers[1:], weights[1:]):
+        flops += int(np.bincount(X.indices, minlength=n) @ np.diff(L.indptr))
+        if flops > M:
+            log.info("stage 1 sample: at least %s multiply-adds > M = %s", f"{flops:,}", f"{M:,}")
+            return None
+        X = sp.csr_matrix((X.data / D[X.indices], X.indices, X.indptr), shape=X.shape) @ L
+        if a:
+            P = P + a * X
+    log.info("stage 1 exact: %s multiply-adds <= M = %s", f"{flops:,}", f"{M:,}")
+    P = sp.triu(P + P.T, k=1).tocoo()
+    keep = P.data > 0
+    return WeightedGraph(n, P.row[keep], P.col[keep], 0.5 * P.data[keep])
 
 
 def _mixture_draw(idx: SamplerIndex, alpha: PolyCoeffs, aux=None):
@@ -123,10 +170,11 @@ def sparsify_poly(G: WeightedGraph, alpha: PolyCoeffs, cfg: SparsifyConfig, rng)
             parts.append((verts, sparsify_poly(sub, alpha, cfg, rng_k)))
         return _join_components(G.n, parts)
 
-    idx = SamplerIndex(G)
-    draw, tau = _mixture_draw(idx, alpha)
     M = stage_one_edge_budget(alpha, G.m, G.n, cfg)
-    H = graph_sampling(draw, tau, M, rng, G.n)
+    H = exact_walk_graph([G.adjacency] * alpha.d, G.degree, M, cfg, alpha.alpha)
+    if H is None:
+        draw, tau = _mixture_draw(SamplerIndex(G), alpha)
+        H = graph_sampling(draw, tau, M, rng, G.n)
     if cfg.second_stage:
         from .resistance import resparsify
 

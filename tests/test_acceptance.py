@@ -98,7 +98,7 @@ def test_criterion_02_sampler_distribution():
 def test_criterion_03_polynomial_sparsifier():
     t0 = time.perf_counter()
     eps = 0.5
-    cfg = SparsifyConfig(epsilon=eps, oversample=1.0)
+    cfg = SparsifyConfig(epsilon=eps, oversample=1.0, route="sample")
     mix = {
         "1": "1", "2": "0,1", "12": "0.5,0.5",
         "3": "0,0,1", "4": "0.25,0.25,0.25,0.25",
@@ -147,7 +147,7 @@ def test_criterion_04_support_brackets():
 def test_criterion_05_high_degree_pipeline():
     t0 = time.perf_counter()
     eps = 0.75
-    cfg = SparsifyConfig(epsilon=eps, oversample=1.0)
+    cfg = SparsifyConfig(epsilon=eps, oversample=1.0, route="sample")
     results = {}
     for d in (8, 16):
         hit = 0
@@ -158,7 +158,7 @@ def test_criterion_05_high_degree_pipeline():
                 hit += 1
         results[d] = hit
     G = er_graph(60, 0.2, 720)
-    cfg10 = SparsifyConfig(epsilon=0.5, oversample=1.0)
+    cfg10 = SparsifyConfig(epsilon=0.5, oversample=1.0, route="sample")
     H = sparsify_high_degree(G, 10, 0.5, cfg10, RngStream(0))
     sub_ok = similarity_check(H.laplacian_dense(), dense_monomial(G, 10), 0.5).passed
     ok = results[8] >= 8 and results[16] >= 8 and sub_ok
@@ -207,7 +207,7 @@ def test_criterion_07_sddm_sparsifier():
     t0 = time.perf_counter()
     eps = 0.5
     alpha = PolyCoeffs.parse("0.5,0.5")
-    cfg = SparsifyConfig(epsilon=eps)
+    cfg = SparsifyConfig(epsilon=eps, route="sample")
     hit = 0
     diag_ok = True
     for seed in range(10):
@@ -228,7 +228,7 @@ def test_criterion_08_newton_inverse_sqrt():
     coeffs_ok = np.array_equal(qth_root_coefficients(1).alpha, [0.0, 0.75, 0.25])
 
     M = random_sddm(50, 0.15, 900, slack=1.0)
-    cfg = SparsifyConfig(epsilon=0.5, oversample=0.3, second_stage=False)
+    cfg = SparsifyConfig(epsilon=0.5, oversample=0.3, second_stage=False, route="sample")
     chain = inv_sqrt_chain(M, 0.2, cfg=cfg, rng=RngStream(11))
     lo, hi = chain.bracket(M)
     bracket_ok = 0.8 <= lo and hi <= 1.2

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from walksparse import (
     ValidationError,
     WeightedGraph,
     dense_monomial,
+    save_graph,
     schedule,
     similarity_check,
     sparsify_high_degree,
@@ -102,6 +104,17 @@ class TestSteps:
         assert not mismatch
         assert math.exp(-0.3) <= vals.min() and vals.max() <= math.exp(0.3)
 
+    def test_square_exact_route_certifies(self, caplog):
+        cur = MonomialApprox(2, exact_walk_graph(self.G, 2), self.D, 0.0)
+        with caplog.at_level(logging.INFO, logger="walksparse"):
+            out = square_step(cur, 0.3, self.cfg, RngStream(1))
+        assert "stage 1 exact" in caplog.text
+        At = cur.graph.adjacency_dense()
+        np.fill_diagonal(At, self.D - cur.graph.degree)
+        target = np.diag(self.D) - At @ np.diag(1.0 / self.D) @ At
+        rep = similarity_check(out.graph.laplacian_dense(), target, 1e-9)
+        assert rep.eps_required <= 1e-9, rep.as_kv()
+
     def test_clamp_rescales_excess(self):
         G = ring_graph(6, 2.0)
         # degrees 4; base degree 3.8 forces a uniform rescale
@@ -136,6 +149,14 @@ class TestDriver:
         H = sparsify_high_degree(G, 2, 0.5, SparsifyConfig(epsilon=0.5), RngStream(5))
         rep = similarity_check(H.laplacian_dense(), dense_monomial(G, 2), 0.5)
         assert rep.passed, rep.as_kv()
+
+    @pytest.mark.parametrize("route", ["auto", "sample"])
+    def test_replay_byte_identical(self, route, tmp_path):
+        G = er_graph(30, 0.3, 8)
+        cfg = SparsifyConfig(epsilon=0.75, oversample=1.0, route=route)
+        for name in ("a.mtx", "b.mtx"):
+            save_graph(sparsify_high_degree(G, 8, 0.75, cfg, RngStream(6)), tmp_path / name)
+        assert (tmp_path / "a.mtx").read_bytes() == (tmp_path / "b.mtx").read_bytes()
 
     def test_bipartite_refused(self):
         ring6 = ring_graph(6)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from walksparse import (
     WeightedGraph,
     dense_poly,
     extra_diagonal,
+    similarity_check,
     sparsify_sddm,
 )
 from walksparse.oracle import generalized_eigenvalues
@@ -101,3 +104,27 @@ class TestSparsifySddm:
         vals, mismatch = generalized_eigenvalues(res.dense(), dense)
         assert not mismatch
         assert vals.min() >= 0.5 and vals.max() <= 1.5
+
+
+class TestSddmExactRoute:
+    @pytest.mark.parametrize("a", ["1", "0,1", "0.5,0.5"])
+    def test_exact_stage_one_certifies(self, a, caplog):
+        M = random_sddm(40, 0.15, 31)
+        alpha = PolyCoeffs.parse(a)
+        cfg = SparsifyConfig(epsilon=0.5, second_stage=False)
+        with caplog.at_level(logging.INFO, logger="walksparse"):
+            res = sparsify_sddm(M, alpha, cfg, RngStream(0))
+        assert "stage 1 exact" in caplog.text
+        dense = dense_poly(M, alpha)
+        off = ~np.eye(M.n, dtype=bool)
+        np.testing.assert_allclose(res.dense()[off], dense[off], rtol=1e-12, atol=1e-15)
+        rep = similarity_check(res.dense(), dense, 1e-9)
+        assert rep.eps_required <= 1e-9, rep.as_kv()
+
+    def test_sampled_route_deterministic(self):
+        M = random_sddm(30, 0.2, 32)
+        alpha = PolyCoeffs.parse("0.5,0.5")
+        cfg = SparsifyConfig(epsilon=0.5, route="sample")
+        r1 = sparsify_sddm(M, alpha, cfg, RngStream(3))
+        r2 = sparsify_sddm(M, alpha, cfg, RngStream(3))
+        assert r1.graph == r2.graph

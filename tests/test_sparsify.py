@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from walksparse import (
     ValidationError,
     WeightedGraph,
     dense_poly,
+    save_graph,
     similarity_check,
     sparsify_monomial,
     sparsify_poly,
@@ -33,6 +36,11 @@ class TestConfig:
         assert cfg.eps_stage_two == 0.25
         one_stage = SparsifyConfig(epsilon=0.5, second_stage=False)
         assert one_stage.eps_stage_one == 0.5
+
+    def test_route_choices(self):
+        assert SparsifyConfig(epsilon=0.5).route == "auto"
+        with pytest.raises(ValidationError):
+            SparsifyConfig(epsilon=0.5, route="exact")
 
 
 class TestBudgets:
@@ -111,9 +119,9 @@ class TestSparsifyPoly:
         rep = similarity_check(H.laplacian_dense(), dense_poly(G, alpha), 0.5)
         assert rep.passed, rep.as_kv()
 
-    def test_bipartite_even_monomial_two_stages(self):
+    def test_bipartite_even_monomial_two_stages(self, caplog):
         # the 2-step walks of a bipartite graph split into two components, so
-        # stage 2 resparsifies each one
+        # stage 2 resparsifies each one; stage 1 is the exact product here
         gen = np.random.default_rng(13)
         u = gen.integers(0, 100, 1500)
         v = 100 + gen.integers(0, 100, 1500)
@@ -122,9 +130,12 @@ class TestSparsifyPoly:
         alpha = PolyCoeffs.parse("0,1")
         cfg = SparsifyConfig(epsilon=1.0, oversample=1.0)
         stage_one = SparsifyConfig(epsilon=cfg.eps_stage_one, oversample=1.0, second_stage=False)
-        H1 = sparsify_poly(G, alpha, stage_one, RngStream(14))
+        with caplog.at_level(logging.INFO, logger="walksparse"):
+            H1 = sparsify_poly(G, alpha, stage_one, RngStream(14))
+            H = sparsify_poly(G, alpha, cfg, RngStream(14))
+        assert caplog.text.count("stage 1 exact") == 2
+        assert not H1.is_connected()
         assert H1.m > stage_two_edge_budget(G.n, cfg.eps_stage_two, cfg)
-        H = sparsify_poly(G, alpha, cfg, RngStream(14))
         assert H.m < H1.m
         rep = similarity_check(H.laplacian_dense(), dense_poly(G, alpha), cfg.epsilon)
         assert rep.passed, rep.as_kv()
@@ -152,3 +163,52 @@ class TestSparsifyMonomial:
         H = sparsify_monomial(G, 5, SparsifyConfig(epsilon=0.5), RngStream(12))
         rep = similarity_check(H.laplacian_dense(), dense_poly(G, PolyCoeffs.monomial(5)), 0.5)
         assert rep.passed, rep.as_kv()
+
+
+class TestExactRoute:
+    """Stage one computed by sparse products when they cost at most M walks."""
+
+    @pytest.mark.parametrize("a", ["1", "0,1", "0.5,0.5"])
+    def test_exact_stage_one_certifies(self, a, caplog):
+        G = er_graph(40, 0.15, 21, weighted=True)
+        alpha = PolyCoeffs.parse(a)
+        cfg = SparsifyConfig(epsilon=0.5, second_stage=False)
+        with caplog.at_level(logging.INFO, logger="walksparse"):
+            H = sparsify_poly(G, alpha, cfg, RngStream(0))
+        assert "stage 1 exact" in caplog.text
+        rep = similarity_check(H.laplacian_dense(), dense_poly(G, alpha), 1e-9)
+        assert rep.eps_required <= 1e-9, rep.as_kv()
+
+    def test_route_logged_with_both_numbers(self, caplog):
+        G = er_graph(30, 0.2, 22)
+        alpha = PolyCoeffs.parse("0,1")
+        cfg = SparsifyConfig(epsilon=0.5, second_stage=False)
+        with caplog.at_level(logging.INFO, logger="walksparse"):
+            sparsify_poly(G, alpha, cfg, RngStream(0))
+        flops = int(np.sum(G.adjacency.getnnz(axis=1) ** 2))  # A D^-1 A costs sum deg^2
+        M = stage_one_edge_budget(alpha, G.m, G.n, cfg)
+        assert f"stage 1 exact: {flops:,} multiply-adds <= M = {M:,}" in caplog.messages
+
+    def test_sample_when_products_cost_more(self, caplog):
+        G = er_graph(60, 0.2, 0)
+        alpha = PolyCoeffs.parse("0.25,0.25,0.25,0.25")
+        cfg = SparsifyConfig(epsilon=0.5, oversample=1.0, second_stage=False)
+        with caplog.at_level(logging.INFO, logger="walksparse"):
+            H = sparsify_poly(G, alpha, cfg, RngStream(1))
+        (msg,) = [m for m in caplog.messages if m.startswith("stage 1 ")]
+        hit = re.fullmatch(r"stage 1 sample: at least ([\d,]+) multiply-adds > M = ([\d,]+)", msg)
+        flops, M = (int(x.replace(",", "")) for x in hit.groups())
+        assert flops > M == stage_one_edge_budget(alpha, G.m, G.n, cfg)
+        # sampled, so not the exact polynomial
+        assert similarity_check(H.laplacian_dense(), dense_poly(G, alpha), 0.5).eps_required > 1e-6
+
+    @pytest.mark.parametrize("route", ["auto", "sample"])
+    def test_replay_byte_identical(self, route, tmp_path, caplog):
+        G = er_graph(30, 0.2, 23)
+        alpha = PolyCoeffs.parse("0.5,0.5")
+        cfg = SparsifyConfig(epsilon=0.5, route=route)
+        with caplog.at_level(logging.INFO, logger="walksparse"):
+            for name in ("a.mtx", "b.mtx"):
+                save_graph(sparsify_poly(G, alpha, cfg, RngStream(9)), tmp_path / name)
+        assert ("stage 1 exact" in caplog.text) == (route == "auto")
+        assert (tmp_path / "a.mtx").read_bytes() == (tmp_path / "b.mtx").read_bytes()
