@@ -20,10 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
+from . import sparsify
 from .errors import InputRefusedError, ValidationError
 from .graph import WeightedGraph
-from .sampling import RngStream, build_template, graph_sampling, sample_template_paths
-from .sparsify import SparsifyConfig, _log_n, exact_walk_graph, sparsify_monomial
+from .sampling import RngStream, build_template, graph_sampling, sample_template_paths, template_mass
+from .sparsify import SparsifyConfig, _log_n, sparsify_monomial
 
 log = logging.getLogger(__name__)
 
@@ -124,15 +125,17 @@ def _clamp_degree_excess(approx: MonomialApprox) -> MonomialApprox:
 def _template_sparsify(layers, coeffs, D, eps, cfg: SparsifyConfig, rng, n):
     """Stage one of a template at its sample budget M, then re-sparsify.
 
-    The product L_1 D^-1 L_2 ... D^-1 L_r is computed exactly when that costs
-    at most M multiply-adds; only then are M walks drawn. The coefficients
-    shape the sampling masses alone, so the exact route ignores them.
+    layers are CSR matrices. The product L_1 D^-1 L_2 ... D^-1 L_r is computed
+    exactly when that costs at most M multiply-adds; otherwise the template's
+    tables are built and M walks drawn. The coefficients shape the sampling
+    masses alone, so the exact route ignores them.
     """
     local = replace(cfg, epsilon=eps)
-    tmpl = build_template(layers, coeffs, D)
-    M = int(math.ceil(cfg.oversample * _log_n(n) / local.eps_stage_one**2 * tmpl.tau_total))
-    H = exact_walk_graph(tmpl.layers, tmpl.D, M, cfg)
+    tau = template_mass(layers, coeffs, D)
+    M = int(math.ceil(cfg.oversample * _log_n(n) / local.eps_stage_one**2 * tau))
+    H = sparsify.exact_walk_graph(layers, D, M)
     if H is None:
+        tmpl = build_template(layers, coeffs, D)
         draw = lambda count, gen: sample_template_paths(tmpl, count, gen)
         H = graph_sampling(draw, tmpl.tau_total, M, rng, n)
     if local.second_stage:
@@ -176,7 +179,8 @@ def plus_step(cur: MonomialApprox, base: WeightedGraph, eps, cfg: SparsifyConfig
     At = _full_layer(cur)
     h = math.exp(cur.accumulated_eps)
     coeffs = [h, h, h * h, h, h]
-    H = _template_sparsify([base, base, At, base, base], coeffs, D, eps, cfg, rng, cur.graph.n)
+    A = base.adjacency
+    H = _template_sparsify([A, A, At, A, A], coeffs, D, eps, cfg, rng, cur.graph.n)
     out = MonomialApprox(cur.degree + 4, H, D, cur.accumulated_eps + eps)
     return _clamp_degree_excess(out)
 

@@ -197,8 +197,8 @@ def _assemble(mats, coeffs, D, left, right, tables) -> WalkTemplate:
     )
 
 
-def build_template(layers, coeffs, D) -> WalkTemplate:
-    """Precompute absorption vectors, then the pivot and step tables."""
+def _absorption(layers, coeffs, D):
+    """Validated CSR layers, coefficients and D, with the absorption vectors."""
     csr = {}  # one matrix per distinct layer, so positions can share its tables
     mats = [
         csr.setdefault(id(x), x.adjacency if isinstance(x, WeightedGraph) else sp.csr_matrix(x))
@@ -226,7 +226,19 @@ def build_template(layers, coeffs, D) -> WalkTemplate:
     right[r] = ones
     for i in range(r - 1, 0, -1):
         right[i] = (mats[i] @ right[i + 1]) / D
-    return _assemble(mats, coeffs, D, left, right, {})
+    return mats, coeffs, D, left, right
+
+
+def build_template(layers, coeffs, D) -> WalkTemplate:
+    """Precompute absorption vectors, then the pivot and step tables."""
+    return _assemble(*_absorption(layers, coeffs, D), {})
+
+
+def template_mass(layers, coeffs, D):
+    """tau_total of build_template(layers, coeffs, D), without its tables."""
+    mats, coeffs, _, left, right = _absorption(layers, coeffs, D)
+    pivot = [np.repeat(left[i], np.diff(m.indptr)) @ right[i][m.indices] for i, m in enumerate(mats, 1)]
+    return 0.5 * float(coeffs @ pivot)
 
 
 def sample_template_paths(tmpl: WalkTemplate, count, rng, aux=None, record_vertices=False):

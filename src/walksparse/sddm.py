@@ -15,17 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sparsify
 from .errors import InputRefusedError, ValidationError
 from .graph import PolyCoeffs, SddmMatrix, WeightedGraph
 from .sampling import RngStream, SamplerIndex, graph_sampling
-from .sparsify import (
-    SparsifyConfig,
-    _join_components,
-    _mixture_draw,
-    _split_components,
-    exact_walk_graph,
-    stage_one_edge_budget,
-)
+from .sparsify import SparsifyConfig, _join_components, _mixture_draw, _split_components, stage_one_edge_budget
 
 
 def extra_diagonal(M: SddmMatrix, alpha: PolyCoeffs) -> np.ndarray:
@@ -89,7 +83,7 @@ def sparsify_sddm(M: SddmMatrix, alpha: PolyCoeffs, cfg: SparsifyConfig, rng) ->
         return SddmPolyResult(graph=_join_components(G.n, parts), extra=np.maximum(extra, 0.0))
 
     count = stage_one_edge_budget(alpha, G.m, G.n, cfg)
-    H = exact_walk_graph([G.adjacency] * alpha.d, M.diag, count, cfg, alpha.alpha)
+    H = sparsify.exact_walk_graph([G.adjacency] * alpha.d, M.diag, count, alpha.alpha)
     if H is None:
         aux = np.where(M.diag > 0, G.degree / M.diag, 0.0)
         draw, tau = _mixture_draw(SamplerIndex(G), alpha, aux=aux)

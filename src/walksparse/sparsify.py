@@ -33,8 +33,6 @@ class SparsifyConfig:
 
     split is the fraction of the epsilon budget spent in stage one;
     oversample is the leading constant c_s in every sample-count formula.
-    route "auto" computes a stage-one product exactly when that costs at most
-    the M walks it would draw; "sample" always draws the walks.
     """
 
     epsilon: float
@@ -42,7 +40,6 @@ class SparsifyConfig:
     second_stage: bool = True
     split: float = 0.5
     allow_disconnected: bool = False
-    route: str = "auto"
 
     def __post_init__(self):
         if not (0 < self.epsilon <= 1):
@@ -51,8 +48,6 @@ class SparsifyConfig:
             raise ValidationError("oversample constant must be positive")
         if not (0 < self.split < 1):
             raise ValidationError("split must lie in (0, 1)")
-        if self.route not in ("auto", "sample"):
-            raise ValidationError("route must be 'auto' or 'sample'")
 
     @property
     def eps_stage_one(self):
@@ -77,20 +72,18 @@ def stage_two_edge_budget(n, eps, cfg: SparsifyConfig):
     return int(math.ceil(cfg.oversample * n * _log_n(n) / eps**2))
 
 
-def exact_walk_graph(layers, D, M, cfg: SparsifyConfig, alpha=None):
+def exact_walk_graph(layers, D, M, alpha=None):
     """Off-diagonal of P = sum_j alpha_j L_1 D^-1 L_2 ... D^-1 L_j, or None.
 
     layers are CSR matrices; alpha defaults to the full product alone. The
     prefix chain X_j = X_{j-1} D^-1 L_j is formed one product at a time, each
-    costing sum_k nnz(X[:, k]) nnz(L_j[k, :]) multiply-adds. Once their running
-    total exceeds M, the number of walks the stage would draw, sampling is
-    cheaper and None is returned; cfg.route "sample" returns None at once.
-    The result is the strictly upper triangle of (P + P^T) / 2, the graph
-    whose expectation graph_sampling estimates.
+    costing sum_k nnz(X[:, k]) nnz(L_j[k, :]) multiply-adds. Once their
+    running total exceeds M, the number of walks the stage would draw, None
+    is returned and the stage samples instead; up to M the chain is faster
+    than the walks and holds no more entries than their accumulator. The
+    result is the strictly upper triangle of (P + P^T) / 2, the graph whose
+    expectation graph_sampling estimates.
     """
-    if cfg.route == "sample":
-        log.info("stage 1 sample: route 'sample', M = %s", f"{M:,}")
-        return None
     weights = np.eye(len(layers))[-1] if alpha is None else np.asarray(alpha, dtype=np.float64)
     layers = layers[: np.flatnonzero(weights)[-1] + 1]
     n = len(D)
@@ -171,7 +164,7 @@ def sparsify_poly(G: WeightedGraph, alpha: PolyCoeffs, cfg: SparsifyConfig, rng)
         return _join_components(G.n, parts)
 
     M = stage_one_edge_budget(alpha, G.m, G.n, cfg)
-    H = exact_walk_graph([G.adjacency] * alpha.d, G.degree, M, cfg, alpha.alpha)
+    H = exact_walk_graph([G.adjacency] * alpha.d, G.degree, M, alpha.alpha)
     if H is None:
         draw, tau = _mixture_draw(SamplerIndex(G), alpha)
         H = graph_sampling(draw, tau, M, rng, G.n)

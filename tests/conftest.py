@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from walksparse import SddmMatrix, WeightedGraph
+from walksparse import SddmMatrix, WeightedGraph, sparsify
 
 
 def er_graph(n, p, seed, weighted=False):
@@ -48,6 +48,12 @@ def random_sddm(n, p, seed, slack=1.0):
     G = er_graph(n, p, seed, weighted=True)
     gen = np.random.default_rng(seed + 777)
     return SddmMatrix(G.degree + slack * (0.5 + gen.random(n)), G)
+
+
+@pytest.fixture
+def sampled(monkeypatch):
+    """Every stage one draws its walks: the paper's sampled pipeline."""
+    monkeypatch.setattr(sparsify, "exact_walk_graph", lambda *args: None)
 
 
 @pytest.fixture

@@ -95,10 +95,11 @@ def test_criterion_02_sampler_distribution():
              "p=" + ",".join(f"{p:.3f}" for p in pvalues))
 
 
+@pytest.mark.usefixtures("sampled")
 def test_criterion_03_polynomial_sparsifier():
     t0 = time.perf_counter()
     eps = 0.5
-    cfg = SparsifyConfig(epsilon=eps, oversample=1.0, route="sample")
+    cfg = SparsifyConfig(epsilon=eps, oversample=1.0)
     mix = {
         "1": "1", "2": "0,1", "12": "0.5,0.5",
         "3": "0,0,1", "4": "0.25,0.25,0.25,0.25",
@@ -144,10 +145,11 @@ def test_criterion_04_support_brackets():
     _verdict(4, "walk support brackets r=1..6", ok, time.perf_counter() - t0, 30)
 
 
+@pytest.mark.usefixtures("sampled")
 def test_criterion_05_high_degree_pipeline():
     t0 = time.perf_counter()
     eps = 0.75
-    cfg = SparsifyConfig(epsilon=eps, oversample=1.0, route="sample")
+    cfg = SparsifyConfig(epsilon=eps, oversample=1.0)
     results = {}
     for d in (8, 16):
         hit = 0
@@ -158,7 +160,7 @@ def test_criterion_05_high_degree_pipeline():
                 hit += 1
         results[d] = hit
     G = er_graph(60, 0.2, 720)
-    cfg10 = SparsifyConfig(epsilon=0.5, oversample=1.0, route="sample")
+    cfg10 = SparsifyConfig(epsilon=0.5, oversample=1.0)
     H = sparsify_high_degree(G, 10, 0.5, cfg10, RngStream(0))
     sub_ok = similarity_check(H.laplacian_dense(), dense_monomial(G, 10), 0.5).passed
     ok = results[8] >= 8 and results[16] >= 8 and sub_ok
@@ -203,11 +205,12 @@ def test_criterion_06_squaring_implications():
              time.perf_counter() - t0, 30, f"pairs={pairs} counterexamples={counterexamples}")
 
 
+@pytest.mark.usefixtures("sampled")
 def test_criterion_07_sddm_sparsifier():
     t0 = time.perf_counter()
     eps = 0.5
     alpha = PolyCoeffs.parse("0.5,0.5")
-    cfg = SparsifyConfig(epsilon=eps, route="sample")
+    cfg = SparsifyConfig(epsilon=eps)
     hit = 0
     diag_ok = True
     for seed in range(10):
@@ -223,12 +226,13 @@ def test_criterion_07_sddm_sparsifier():
              time.perf_counter() - t0, 60, f"passed={hit}/10 extra_diag_ok={diag_ok}")
 
 
+@pytest.mark.usefixtures("sampled")
 def test_criterion_08_newton_inverse_sqrt():
     t0 = time.perf_counter()
     coeffs_ok = np.array_equal(qth_root_coefficients(1).alpha, [0.0, 0.75, 0.25])
 
     M = random_sddm(50, 0.15, 900, slack=1.0)
-    cfg = SparsifyConfig(epsilon=0.5, oversample=0.3, second_stage=False, route="sample")
+    cfg = SparsifyConfig(epsilon=0.5, oversample=0.3, second_stage=False)
     chain = inv_sqrt_chain(M, 0.2, cfg=cfg, rng=RngStream(11))
     lo, hi = chain.bracket(M)
     bracket_ok = 0.8 <= lo and hi <= 1.2
@@ -243,6 +247,7 @@ def test_criterion_08_newton_inverse_sqrt():
              f"coeffs={coeffs_ok} bracket=[{lo:.3f},{hi:.3f}] quadratic={quad_ok}")
 
 
+@pytest.mark.usefixtures("sampled")
 def test_criterion_09_resistance_oracle():
     t0 = time.perf_counter()
     eps, delta = 0.3, 0.2
@@ -283,7 +288,7 @@ def test_criterion_10_scalar_inequalities():
     _verdict(10, "scalar inequality grid", ok, time.perf_counter() - t0, 5)
 
 
-def test_criterion_11_determinism(tmp_path):
+def test_criterion_11_determinism(tmp_path, request):
     t0 = time.perf_counter()
     G = er_graph(40, 0.2, 990)
     gfile = tmp_path / "g.mtx"
@@ -300,13 +305,16 @@ def test_criterion_11_determinism(tmp_path):
          "--eps", "0.5", "--seed", "19"],
     ]
     ok = True
-    for k, args in enumerate(commands):
-        a = tmp_path / f"a{k}.mtx"
-        b = tmp_path / f"b{k}.mtx"
-        if cli_main(args + ["-o", str(a)]) != 0 or cli_main(args + ["-o", str(b)]) != 0:
-            ok = False
-            continue
-        if a.read_bytes() != b.read_bytes():
-            ok = False
+    for route in ("exact", "sample"):
+        if route == "sample":
+            request.getfixturevalue("sampled")
+        for k, args in enumerate(commands):
+            a = tmp_path / f"{route}-a{k}.mtx"
+            b = tmp_path / f"{route}-b{k}.mtx"
+            if cli_main(args + ["-o", str(a)]) != 0 or cli_main(args + ["-o", str(b)]) != 0:
+                ok = False
+                continue
+            if a.read_bytes() != b.read_bytes():
+                ok = False
     _verdict(11, "byte-identical replay", ok, time.perf_counter() - t0, 60,
-             f"subcommands={len(commands)}")
+             f"subcommands={len(commands)} routes=exact,sample")

@@ -147,6 +147,7 @@ class TestOutputs:
         assert (tmp_path / "chain" / "chain.manifest").exists()
 
 
+@pytest.mark.usefixtures("sampled")
 class TestDeterminism:
     def _replay(self, args, out_a, out_b):
         assert main(args + ["-o", out_a]) == 0

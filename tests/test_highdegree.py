@@ -30,7 +30,7 @@ from walksparse.oracle import generalized_eigenvalues
 from conftest import er_graph, ring_graph
 
 
-def exact_walk_graph(G, r):
+def dense_walk_graph(G, r):
     """Off-diagonal part of the r-step walk matrix as a WeightedGraph."""
     L = dense_monomial(G, r)
     A = -L.copy()
@@ -83,10 +83,11 @@ class TestSteps:
         self.G = er_graph(40, 0.25, 4)
         self.D = self.G.degree.copy()
         self.cfg = SparsifyConfig(epsilon=0.5, oversample=4.0, second_stage=False)
+        self.cur = MonomialApprox(2, dense_walk_graph(self.G, 2), self.D, 0.0)
 
+    @pytest.mark.usefixtures("sampled")
     def test_square_from_exact_degree_two(self):
-        cur = MonomialApprox(2, exact_walk_graph(self.G, 2), self.D, 0.0)
-        out = square_step(cur, 0.3, self.cfg, RngStream(1))
+        out = square_step(self.cur, 0.3, self.cfg, RngStream(1))
         assert out.degree == 4
         vals, mismatch = generalized_eigenvalues(
             out.graph.laplacian_dense(), dense_monomial(self.G, 4)
@@ -94,9 +95,9 @@ class TestSteps:
         assert not mismatch
         assert math.exp(-0.3) <= vals.min() and vals.max() <= math.exp(0.3)
 
+    @pytest.mark.usefixtures("sampled")
     def test_plus_from_exact_degree_two(self):
-        cur = MonomialApprox(2, exact_walk_graph(self.G, 2), self.D, 0.0)
-        out = plus_step(cur, self.G, 0.3, self.cfg, RngStream(2))
+        out = plus_step(self.cur, self.G, 0.3, self.cfg, RngStream(2))
         assert out.degree == 6
         vals, mismatch = generalized_eigenvalues(
             out.graph.laplacian_dense(), dense_monomial(self.G, 6)
@@ -104,16 +105,19 @@ class TestSteps:
         assert not mismatch
         assert math.exp(-0.3) <= vals.min() and vals.max() <= math.exp(0.3)
 
-    def test_square_exact_route_certifies(self, caplog):
-        cur = MonomialApprox(2, exact_walk_graph(self.G, 2), self.D, 0.0)
+    def test_exact_route_certifies(self, caplog):
+        # D - A~ D^-1 A~ and D - A D^-1 A D^-1 A~ D^-1 A D^-1 A, with the loop
+        # mass D - deg on the diagonal of A~
+        At = self.cur.graph.adjacency_dense()
+        np.fill_diagonal(At, self.D - self.cur.graph.degree)
+        A = self.G.adjacency_dense() / self.D  # A D^-1
         with caplog.at_level(logging.INFO, logger="walksparse"):
-            out = square_step(cur, 0.3, self.cfg, RngStream(1))
-        assert "stage 1 exact" in caplog.text
-        At = cur.graph.adjacency_dense()
-        np.fill_diagonal(At, self.D - cur.graph.degree)
-        target = np.diag(self.D) - At @ np.diag(1.0 / self.D) @ At
-        rep = similarity_check(out.graph.laplacian_dense(), target, 1e-9)
-        assert rep.eps_required <= 1e-9, rep.as_kv()
+            square = square_step(self.cur, 0.3, self.cfg, RngStream(1))
+            plus = plus_step(self.cur, self.G, 0.3, self.cfg, RngStream(2))
+        assert caplog.text.count("stage 1 exact") == 2
+        for out, product in ((square, At / self.D @ At), (plus, A @ A @ At / self.D @ A @ A * self.D)):
+            rep = similarity_check(out.graph.laplacian_dense(), np.diag(self.D) - product, 1e-9)
+            assert rep.eps_required <= 1e-9, rep.as_kv()
 
     def test_clamp_rescales_excess(self):
         G = ring_graph(6, 2.0)
@@ -130,6 +134,7 @@ class TestSteps:
 
 
 class TestDriver:
+    @pytest.mark.usefixtures("sampled")
     def test_d8(self):
         G = er_graph(40, 0.25, 5)
         cfg = SparsifyConfig(epsilon=0.75, oversample=1.0)
@@ -137,6 +142,7 @@ class TestDriver:
         rep = similarity_check(H.laplacian_dense(), dense_monomial(G, 8), 0.75)
         assert rep.passed, rep.as_kv()
 
+    @pytest.mark.usefixtures("sampled")
     def test_d10_substitution(self):
         G = er_graph(40, 0.25, 6)
         cfg = SparsifyConfig(epsilon=0.5, oversample=1.0)
@@ -144,18 +150,22 @@ class TestDriver:
         rep = similarity_check(H.laplacian_dense(), dense_monomial(G, 10), 0.5)
         assert rep.passed, rep.as_kv()
 
+    @pytest.mark.usefixtures("sampled")
     def test_direct_small_degree(self):
         G = er_graph(30, 0.3, 7)
         H = sparsify_high_degree(G, 2, 0.5, SparsifyConfig(epsilon=0.5), RngStream(5))
         rep = similarity_check(H.laplacian_dense(), dense_monomial(G, 2), 0.5)
         assert rep.passed, rep.as_kv()
 
-    @pytest.mark.parametrize("route", ["auto", "sample"])
-    def test_replay_byte_identical(self, route, tmp_path):
+    @pytest.mark.parametrize("route", ["exact", "sample"])
+    def test_replay_byte_identical(self, route, tmp_path, request):
+        if route == "sample":
+            request.getfixturevalue("sampled")
         G = er_graph(30, 0.3, 8)
-        cfg = SparsifyConfig(epsilon=0.75, oversample=1.0, route=route)
+        cfg = SparsifyConfig(epsilon=0.75, oversample=1.0)
+        assert schedule(12, 0.75).ops == [PLUS, SQUARE]
         for name in ("a.mtx", "b.mtx"):
-            save_graph(sparsify_high_degree(G, 8, 0.75, cfg, RngStream(6)), tmp_path / name)
+            save_graph(sparsify_high_degree(G, 12, 0.75, cfg, RngStream(6)), tmp_path / name)
         assert (tmp_path / "a.mtx").read_bytes() == (tmp_path / "b.mtx").read_bytes()
 
     def test_bipartite_refused(self):

@@ -67,6 +67,7 @@ class TestNewtonSqrtStep:
         np.testing.assert_array_equal(factor.apply(x), x)
         np.testing.assert_allclose(nxt.dense(), np.diag(M.diag))
 
+    @pytest.mark.usefixtures("sampled")
     def test_2x2_dense_cubic(self):
         M = SddmMatrix.from_dense(np.array([[3.0, -1.0], [-1.0, 3.0]]))
         expected = dense_poly(M, NEWTON_ALPHA)
@@ -77,6 +78,7 @@ class TestNewtonSqrtStep:
         vals = np.linalg.eigvalsh(np.linalg.solve(expected, approx.dense()))
         assert math.exp(-0.35) <= vals.min() and vals.max() <= math.exp(0.35)
 
+    @pytest.mark.usefixtures("sampled")
     def test_triangle_with_slack(self, triangle):
         M = SddmMatrix(triangle.degree + 0.5, triangle)
         expected = dense_poly(M, NEWTON_ALPHA)
@@ -119,6 +121,7 @@ class TestInvSqrtChain:
             widths.append(max(1 - lo, hi - 1))
         assert widths[0] >= widths[1] >= widths[2]
 
+    @pytest.mark.usefixtures("sampled")
     def test_sampled_chain_bracket(self):
         M = random_sddm(40, 0.2, 3, slack=1.0)
         cfg = SparsifyConfig(epsilon=0.5, oversample=0.3, second_stage=False)

@@ -37,11 +37,6 @@ class TestConfig:
         one_stage = SparsifyConfig(epsilon=0.5, second_stage=False)
         assert one_stage.eps_stage_one == 0.5
 
-    def test_route_choices(self):
-        assert SparsifyConfig(epsilon=0.5).route == "auto"
-        with pytest.raises(ValidationError):
-            SparsifyConfig(epsilon=0.5, route="exact")
-
 
 class TestBudgets:
     def test_stage_one_example(self):
@@ -65,6 +60,7 @@ class TestBudgets:
 
 
 class TestSparsifyPoly:
+    @pytest.mark.usefixtures("sampled")
     def test_triangle_two_step(self, triangle):
         cfg = SparsifyConfig(epsilon=0.5)
         H = sparsify_poly(triangle, PolyCoeffs.parse("0,1"), cfg, RngStream(0))
@@ -73,6 +69,7 @@ class TestSparsifyPoly:
         )
         assert rep.passed
 
+    @pytest.mark.usefixtures("sampled")
     def test_medium_mixture(self):
         G = er_graph(60, 0.1, 0)
         alpha = PolyCoeffs.parse("0.2,0.5,0.3")
@@ -81,6 +78,7 @@ class TestSparsifyPoly:
         rep = similarity_check(H.laplacian_dense(), dense_poly(G, alpha), 0.5)
         assert rep.passed, rep.as_kv()
 
+    @pytest.mark.usefixtures("sampled")
     def test_weighted_graph(self):
         G = er_graph(40, 0.15, 2, weighted=True)
         alpha = PolyCoeffs.parse("0.5,0.5")
@@ -88,6 +86,7 @@ class TestSparsifyPoly:
         rep = similarity_check(H.laplacian_dense(), dense_poly(G, alpha), 0.5)
         assert rep.passed, rep.as_kv()
 
+    @pytest.mark.usefixtures("sampled")
     def test_structured_graphs(self):
         for G in (ring_graph(40), star_graph(40)):
             alpha = PolyCoeffs.parse("0.5,0,0.5")
@@ -95,6 +94,7 @@ class TestSparsifyPoly:
             rep = similarity_check(H.laplacian_dense(), dense_poly(G, alpha), 0.5)
             assert rep.passed, rep.as_kv()
 
+    @pytest.mark.usefixtures("sampled")
     def test_deterministic_replay(self):
         G = er_graph(30, 0.2, 4)
         alpha = PolyCoeffs.parse("0.5,0.5")
@@ -108,6 +108,7 @@ class TestSparsifyPoly:
         with pytest.raises(InputRefusedError):
             sparsify_poly(G, PolyCoeffs.parse("1"), SparsifyConfig(epsilon=0.5), RngStream(0))
 
+    @pytest.mark.usefixtures("sampled")
     def test_disconnected_componentwise(self):
         left = er_graph(20, 0.3, 5)
         edges = [(u, v, w) for u, v, w in zip(left.edge_u, left.edge_v, left.edge_w)]
@@ -147,6 +148,7 @@ class TestSparsifyPoly:
 
 
 class TestSparsifyMonomial:
+    @pytest.mark.usefixtures("sampled")
     def test_matches_poly_wrapper(self):
         G = er_graph(30, 0.2, 7)
         cfg = SparsifyConfig(epsilon=0.5)
@@ -158,6 +160,7 @@ class TestSparsifyMonomial:
         with pytest.raises(ValidationError):
             sparsify_monomial(triangle, 0, SparsifyConfig(epsilon=0.5), RngStream(0))
 
+    @pytest.mark.usefixtures("sampled")
     def test_odd_degree_accuracy(self):
         G = er_graph(50, 0.12, 8)
         H = sparsify_monomial(G, 5, SparsifyConfig(epsilon=0.5), RngStream(12))
@@ -202,13 +205,15 @@ class TestExactRoute:
         # sampled, so not the exact polynomial
         assert similarity_check(H.laplacian_dense(), dense_poly(G, alpha), 0.5).eps_required > 1e-6
 
-    @pytest.mark.parametrize("route", ["auto", "sample"])
-    def test_replay_byte_identical(self, route, tmp_path, caplog):
+    @pytest.mark.parametrize("route", ["exact", "sample"])
+    def test_replay_byte_identical(self, route, tmp_path, caplog, request):
+        if route == "sample":
+            request.getfixturevalue("sampled")
         G = er_graph(30, 0.2, 23)
         alpha = PolyCoeffs.parse("0.5,0.5")
-        cfg = SparsifyConfig(epsilon=0.5, route=route)
+        cfg = SparsifyConfig(epsilon=0.5)
         with caplog.at_level(logging.INFO, logger="walksparse"):
             for name in ("a.mtx", "b.mtx"):
                 save_graph(sparsify_poly(G, alpha, cfg, RngStream(9)), tmp_path / name)
-        assert ("stage 1 exact" in caplog.text) == (route == "auto")
+        assert ("stage 1 exact" in caplog.text) == (route == "exact")
         assert (tmp_path / "a.mtx").read_bytes() == (tmp_path / "b.mtx").read_bytes()
