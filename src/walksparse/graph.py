@@ -68,7 +68,8 @@ class WeightedGraph:
         )
         self.adjacency = adj.tocsr()
         self.adjacency.sort_indices()
-        self.degree = np.asarray(self.adjacency.sum(axis=1)).ravel()
+        # A 1, bit for bit the row sums the walk sampler and exact chain use
+        self.degree = self.adjacency @ np.ones(self.n)
 
     @property
     def m(self):
@@ -120,23 +121,10 @@ class WeightedGraph:
         return ncomp == 1
 
     def is_bipartite(self):
-        """2-coloring BFS over all components."""
-        color = np.full(self.n, -1, dtype=np.int8)
-        indptr, indices = self.adjacency.indptr, self.adjacency.indices
-        for start in range(self.n):
-            if color[start] >= 0:
-                continue
-            color[start] = 0
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in indices[indptr[x]:indptr[x + 1]]:
-                    if color[y] < 0:
-                        color[y] = 1 - color[x]
-                        stack.append(y)
-                    elif color[y] == color[x]:
-                        return False
-        return True
+        """True iff the bipartite double cover has twice as many components."""
+        A = self.adjacency
+        cover = connected_components(sp.bmat([[None, A], [A, None]]), directed=False)[0]
+        return cover == 2 * connected_components(A, directed=False)[0]
 
     def check_invariants(self):
         deg = np.zeros(self.n)

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from . import sparsify
 from .errors import InputRefusedError, ValidationError
 from .graph import WeightedGraph
-from .sampling import RngStream, build_template, graph_sampling, sample_template_paths, template_mass
+from .sampling import RngStream, build_template, graph_sampling, sample_template_paths, substream, template_mass
 from .sparsify import SparsifyConfig, _log_n, sparsify_monomial
 
 log = logging.getLogger(__name__)
@@ -141,7 +141,7 @@ def _template_sparsify(layers, coeffs, D, eps, cfg: SparsifyConfig, rng, n):
     if local.second_stage:
         from .resistance import resparsify
 
-        H = resparsify(H, local.eps_stage_two, cfg, rng.split(3) if isinstance(rng, RngStream) else rng)
+        H = resparsify(H, local.eps_stage_two, cfg, substream(rng, 3))
     return H
 
 
@@ -210,7 +210,7 @@ def sparsify_high_degree(G: WeightedGraph, d, eps, cfg: SparsifyConfig = None, r
     H2 = sparsify_monomial(G, 2, replace(cfg, epsilon=eps_step), rng)
     cur = _clamp_degree_excess(MonomialApprox(2, H2, G.degree.copy(), eps_step))
     for i, op in enumerate(sch.ops):
-        sub = rng.split(10 + i) if isinstance(rng, RngStream) else rng
+        sub = substream(rng, 10 + i)
         if op == SQUARE:
             cur = square_step(cur, eps_step, cfg, sub)
         else:
@@ -220,5 +220,4 @@ def sparsify_high_degree(G: WeightedGraph, d, eps, cfg: SparsifyConfig = None, r
 
     from .resistance import resparsify
 
-    final_rng = rng.split(99) if isinstance(rng, RngStream) else rng
-    return resparsify(cur.graph, eps_eff / 2, cfg, final_rng)
+    return resparsify(cur.graph, eps_eff / 2, cfg, substream(rng, 99))

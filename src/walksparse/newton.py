@@ -19,7 +19,7 @@ from scipy.special import comb
 
 from .errors import ConvergenceError, ValidationError
 from .graph import PolyCoeffs, SddmMatrix, WeightedGraph
-from .sampling import RngStream, _as_generator
+from .sampling import RngStream, _as_generator, substream
 from .sddm import sparsify_sddm
 from .sparsify import SparsifyConfig
 
@@ -165,7 +165,7 @@ def inv_sqrt_chain(
             chain.terminal_diag = cur.diag.copy()
             chain.eps_bound = min(1.0, len(chain.factors) * eps_step * (0 if dense else 1) + rho)
             return chain
-        sub = rng.split(300 + k) if isinstance(rng, RngStream) else rng
+        sub = substream(rng, 300 + k)
         if dense:
             factor, cur = dense_newton_step(cur)
         else:

@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, InputRefusedError, ValidationError
 from .graph import DENSE_THRESHOLD, PolyCoeffs, WeightedGraph
-from .sampling import RngStream, _as_generator
+from .sampling import RngStream, _as_generator, substream
 from .sparsify import SparsifyConfig, _join_components, _split_components, sparsify_poly, stage_two_edge_budget
 
 
@@ -240,7 +240,7 @@ def er_oracle_build(
     if method == "dense-exact":
         state = _grounded_inverse(H)
     else:
-        sub = rng.split(77) if isinstance(rng, RngStream) else rng
+        sub = substream(rng, 77)
         state = _sketch_potentials(H, delta / 2, sub)
     return ErOracle(H, eps, delta, method, state)
 

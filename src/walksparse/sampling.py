@@ -7,11 +7,12 @@ tau_p = w(p) Z(p) by choosing a pivot step (position and directed edge)
 from masses built from absorption vectors, then stepping outward from its
 endpoints with per-step distributions reweighted by the same vectors.
 
-The plain length-r walk sampler is the monomial template [A]*r with
-coefficient 2 per position and D = A 1: every absorption vector is then
-exactly one, the pivot edge is uniform, and the masses use the
-direction-identified convention in which the total over length-r walks is
-exactly 2 r m.
+The length-r walk sampler is the monomial template [A]*r with coefficient
+2 per position. Under D = A 1 every absorption vector is exactly one, the
+pivot edge is uniform, and the masses use the direction-identified
+convention in which the total over length-r walks is exactly 2 r m. A
+larger D, such as an SDDM diagonal, gives absorption vectors at most one
+and a total below 2 r m.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ class RngStream:
 
     def split(self, stream):
         return RngStream(self.seed, stream)
+
+
+def substream(rng, stream):
+    """rng.split(stream) for an RngStream; any other rng is passed on as is."""
+    return rng.split(stream) if isinstance(rng, RngStream) else rng
 
 
 def _as_generator(rng):
@@ -107,7 +113,7 @@ class PathBatch:
 
     u0: np.ndarray
     ur: np.ndarray
-    weight: np.ndarray  # w(p), times the product of aux over interior vertices
+    weight: np.ndarray  # w(p) divided by D at each interior vertex
     mass: np.ndarray  # tau_p in the direction-identified convention
     vertices: np.ndarray | None = None  # (count, r+1) when recorded
 
@@ -221,11 +227,11 @@ def _absorption(layers, coeffs, D):
     left = [None] * (r + 1)  # left[i] defined for i = 1..r
     left[1] = ones
     for i in range(1, r):
-        left[i + 1] = (mats[i - 1] @ left[i]) / D
+        left[i + 1] = np.divide(mats[i - 1] @ left[i], D, out=np.zeros(len(D)), where=D > 0)
     right = [None] * (r + 1)  # right[i] defined for i = 1..r
     right[r] = ones
     for i in range(r - 1, 0, -1):
-        right[i] = (mats[i] @ right[i + 1]) / D
+        right[i] = np.divide(mats[i] @ right[i + 1], D, out=np.zeros(len(D)), where=D > 0)
     return mats, coeffs, D, left, right
 
 
@@ -241,13 +247,10 @@ def template_mass(layers, coeffs, D):
     return 0.5 * float(coeffs @ pivot)
 
 
-def sample_template_paths(tmpl: WalkTemplate, count, rng, aux=None, record_vertices=False):
+def sample_template_paths(tmpl: WalkTemplate, count, rng, record_vertices=False):
     """Draw walks from a template with probability tau_p / sum(tau).
 
-    aux, when given, is a per-vertex factor whose product over interior
-    vertices multiplies the returned target weight only; the sampling mass
-    w(p) Z(p) stays untouched or the reweighting in graph_sampling would
-    cancel it. Weights are accumulated in log space for r above 64.
+    Weights are accumulated in log space for r above 64.
     """
     gen = _as_generator(rng)
     r = tmpl.r
@@ -258,7 +261,6 @@ def sample_template_paths(tmpl: WalkTemplate, count, rng, aux=None, record_verti
     ur = np.empty(count, dtype=np.int64)
     w = np.empty(count)
     z = np.empty(count)
-    ax = None if aux is None else np.full(count, 0.0 if log_space else 1.0)
     verts = np.zeros((count, r + 1), dtype=np.int64) if record_vertices else None
 
     # walks are grouped by pivot position, each group a contiguous block
@@ -272,7 +274,6 @@ def sample_template_paths(tmpl: WalkTemplate, count, rng, aux=None, record_verti
         wb, zb = w[blk], z[blk]
         wb[:] = lift(wt)
         np.divide(tmpl.coeffs[i - 1], wt, out=zb)
-        axb = None if ax is None else ax[blk]
         a, b = tmpl._rows[i - 1][slot], mat.indices[slot]
         if record_vertices:
             verts[blk, i - 1] = a
@@ -289,8 +290,6 @@ def sample_template_paths(tmpl: WalkTemplate, count, rng, aux=None, record_verti
                 wt = mat.data[slot]
                 mul(wb, lift(wt), out=wb)
                 div(wb, lift(tmpl.D[cur]), out=wb)
-                if axb is not None:
-                    mul(axb, lift(aux[cur]), out=axb)
                 zb += tmpl.coeffs[j - 1] / wt
                 cur = mat.indices[slot]
                 if record_vertices:
@@ -299,50 +298,43 @@ def sample_template_paths(tmpl: WalkTemplate, count, rng, aux=None, record_verti
 
     if log_space:
         np.exp(w, out=w)
-        if ax is not None:
-            np.exp(ax, out=ax)
-    weight = w if ax is None else w * ax
     z *= w
-    return PathBatch(u0=u0, ur=ur, weight=weight, mass=z, vertices=verts)
+    return PathBatch(u0=u0, ur=ur, weight=w, mass=z, vertices=verts)
 
 
 class SamplerIndex:
     """Shared row tables of one graph for its length-r monomial templates.
 
-    With D = A 1 every absorption vector is exactly one, so one uniform
-    pivot table and one step table over A serve every position of every
-    walk length.
+    Template r is [A]*r with coefficient 2 per position under the degree
+    normalization D (default A 1). Tables are shared across positions and
+    walk lengths wherever the absorption vectors agree; with D = A 1 they
+    are all exactly one, so one uniform pivot table and one step table over
+    A serve every template.
     """
 
-    def __init__(self, G: WeightedGraph):
+    def __init__(self, G: WeightedGraph, D=None):
         if G.m < 1:
             raise ValidationError("cannot build a sampler over an empty graph")
         self.graph = G
-        self._ones = np.ones(G.n)
-        self._D = G.adjacency @ self._ones
+        self.D = G.degree if D is None else D
         self._tables = {}
         self._templates = {}
-        self.template(2)  # builds both shared tables
 
     def template(self, r) -> WalkTemplate:
         """The monomial template [A]*r with coefficient 2 per position."""
         if r not in self._templates:
-            ones = [self._ones] * (r + 1)
-            self._templates[r] = _assemble(
-                [self.graph.adjacency] * r, np.full(r, 2.0), self._D, ones, ones, self._tables
-            )
+            self._templates[r] = _assemble(*_absorption([self.graph] * r, np.full(r, 2.0), self.D), self._tables)
         return self._templates[r]
 
 
-def sample_paths(idx: SamplerIndex, r, count, rng, aux=None, record_vertices=False):
-    """Draw `count` length-r walks, each with probability tau_p / (2 r m).
+def sample_paths(idx: SamplerIndex, r, count, rng, record_vertices=False):
+    """Draw `count` length-r walks, each with probability tau_p / tau_total.
 
-    aux, when given, is a per-vertex factor whose product over interior
-    vertices is accumulated into `weight` (used by the SDDM extension).
+    tau_total is idx.template(r).tau_total, which is 2 r m under D = A 1.
     """
     if r < 1:
         raise ValidationError("walk length must be >= 1")
-    return sample_template_paths(idx.template(r), count, rng, aux=aux, record_vertices=record_vertices)
+    return sample_template_paths(idx.template(r), count, rng, record_vertices=record_vertices)
 
 
 def graph_sampling(draw, tau_total, M, rng, n):

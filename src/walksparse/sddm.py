@@ -1,12 +1,10 @@
 """Walk-polynomial sparsification for SDDM matrices D - A with slack.
 
-The off-diagonal part sum_r alpha_r A (D^-1 A)^{r-1} is computed exactly
-when its sparse-product chain is cheaper than the stage's walks. Otherwise
-the off-diagonal graph is sampled with respect to its own degrees D_g;
-the mismatch against the SDDM diagonal D is folded into each walk's target
-weight as the per-interior-vertex ratio D_g(u) / D(u), which never exceeds
-one. The excess diagonal of the polynomial is computed exactly by sparse
-matrix-vector products and returned alongside the sampled graph.
+M_alpha = D - sum_r alpha_r D (D^-1 A)^r is the graph polynomial L_alpha
+with the SDDM diagonal D in place of A 1, so its off-diagonal part is
+sparsified by sparsify.walk_graph with walks normalized by D. The excess
+diagonal of the polynomial is computed exactly by sparse matrix-vector
+products and returned alongside the sparsified graph.
 """
 
 from __future__ import annotations
@@ -15,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sparsify
-from .errors import InputRefusedError, ValidationError
+from .errors import ValidationError
 from .graph import PolyCoeffs, SddmMatrix, WeightedGraph
-from .sampling import RngStream, SamplerIndex, graph_sampling
-from .sparsify import SparsifyConfig, _join_components, _mixture_draw, _split_components, stage_one_edge_budget
+from .sampling import SamplerIndex, graph_sampling  # noqa: F401 (bench/tracing.py wraps these names here)
+from .sparsify import SparsifyConfig, walk_graph
 
 
 def extra_diagonal(M: SddmMatrix, alpha: PolyCoeffs) -> np.ndarray:
@@ -69,27 +66,4 @@ def sparsify_sddm(M: SddmMatrix, alpha: PolyCoeffs, cfg: SparsifyConfig, rng) ->
     extra = extra_diagonal(M, alpha)
     if np.min(extra) < -1e-9 * np.max(M.diag):
         raise ValidationError("polynomial row sums went negative; input is not SDDM enough")
-
-    if not G.is_connected():
-        if not cfg.allow_disconnected:
-            raise InputRefusedError(
-                "off-diagonal graph is disconnected; sparsify components separately "
-                "(pass allow_disconnected)"
-            )
-        parts = []
-        for k, (verts, sub) in enumerate(_split_components(G)):
-            rng_k = rng.split(2000 + k) if isinstance(rng, RngStream) else rng
-            parts.append((verts, sparsify_sddm(SddmMatrix(M.diag[verts], sub), alpha, cfg, rng_k).graph))
-        return SddmPolyResult(graph=_join_components(G.n, parts), extra=np.maximum(extra, 0.0))
-
-    count = stage_one_edge_budget(alpha, G.m, G.n, cfg)
-    H = sparsify.exact_walk_graph([G.adjacency] * alpha.d, M.diag, count, alpha.alpha)
-    if H is None:
-        aux = np.where(M.diag > 0, G.degree / M.diag, 0.0)
-        draw, tau = _mixture_draw(SamplerIndex(G), alpha, aux=aux)
-        H = graph_sampling(draw, tau, count, rng, G.n)
-    if cfg.second_stage:
-        from .resistance import resparsify
-
-        H = resparsify(H, cfg.eps_stage_two, cfg, rng.split(1) if isinstance(rng, RngStream) else rng)
-    return SddmPolyResult(graph=H, extra=np.maximum(extra, 0.0))
+    return SddmPolyResult(graph=walk_graph(G, M.diag, alpha, cfg, rng), extra=np.maximum(extra, 0.0))

@@ -1,13 +1,14 @@
 """Sparsification of random-walk matrix polynomials by path sampling.
 
-Stage one builds an explicit graph whose Laplacian is within the stage-one
-eps of L_alpha(G). It computes the polynomial's off-diagonal exactly, by a
-chain of sparse products, when that chain costs at most the M multiply-adds
-the stage would spend on its M walks (exact_walk_graph); otherwise it draws
-M walks with masses tau_p = alpha_r w(p) Z(p) (walk lengths picked
-proportionally to alpha_r * 2 r m so the estimator is unbiased) and
-aggregates the endpoint edges. Stage two re-sparsifies the explicit result
-down to the n log n budget using solver-estimated effective resistances.
+walk_graph sparsifies the off-diagonal sum_r alpha_r A (D^-1 A)^{r-1} of a
+walk polynomial: D = A 1 gives L_alpha(G), an SDDM diagonal the SDDM
+extension. Stage one computes it exactly, by a chain of sparse products,
+when that chain costs at most the M multiply-adds the stage would spend on
+its M walks (exact_walk_graph); otherwise it draws M walks with masses
+tau_p = alpha_r w(p) Z(p) (lengths picked proportionally to alpha_r times
+their total mass, so the estimator is unbiased) and aggregates the endpoint
+edges. Stage two re-sparsifies the explicit result down to the n log n
+budget using solver-estimated effective resistances.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import InputRefusedError, ValidationError
 from .graph import PolyCoeffs, WeightedGraph
-from .sampling import PathBatch, RngStream, SamplerIndex, graph_sampling, sample_paths, total_mass
+from .sampling import PathBatch, SamplerIndex, graph_sampling, sample_paths, substream, total_mass
 
 log = logging.getLogger(__name__)
 
@@ -104,18 +105,17 @@ def exact_walk_graph(layers, D, M, alpha=None):
     return WeightedGraph(n, P.row[keep], P.col[keep], 0.5 * P.data[keep])
 
 
-def _mixture_draw(idx: SamplerIndex, alpha: PolyCoeffs, aux=None):
-    """Draw callable mixing walk lengths proportionally to alpha_r 2 r m."""
-    m = idx.graph.m
+def _mixture_draw(idx: SamplerIndex, alpha: PolyCoeffs):
+    """Draw callable mixing walk lengths proportionally to alpha_r tau_total(r)."""
     lengths = np.array([r for r, a in enumerate(alpha.alpha, start=1) if a > 0])
-    weights = np.array([alpha.alpha[r - 1] * total_mass(r, m) for r in lengths])
+    weights = np.array([alpha.alpha[r - 1] * idx.template(r).tau_total for r in lengths])
     probs = weights / weights.sum()
 
     def draw(count, gen):
         # alpha_r scales both the target weight and the sampling mass of a
         # length-r walk, so it cancels in graph_sampling and is left out
         batches = [
-            sample_paths(idx, int(r), int(c), gen, aux=aux)
+            sample_paths(idx, int(r), int(c), gen)
             for r, c in zip(lengths, gen.multinomial(count, probs))
             if c > 0
         ]
@@ -147,32 +147,38 @@ def _join_components(n, parts):
     return WeightedGraph(n, u, v, w)
 
 
-def sparsify_poly(G: WeightedGraph, alpha: PolyCoeffs, cfg: SparsifyConfig, rng) -> WeightedGraph:
-    """Sparsifier H with L_H ~ L_alpha(G) within exp(+-epsilon) w.h.p."""
-    if G.m < 1:
-        raise ValidationError("graph has no edges")
+def walk_graph(G: WeightedGraph, D, alpha: PolyCoeffs, cfg: SparsifyConfig, rng) -> WeightedGraph:
+    """Sparsifier of the off-diagonal sum_r alpha_r A (D^-1 A)^{r-1}, D >= A 1."""
     if not G.is_connected():
         if not cfg.allow_disconnected:
             raise InputRefusedError(
                 "graph is disconnected; effective-resistance bounds need paths between "
                 "sampled endpoints (pass allow_disconnected to process components separately)"
             )
-        parts = []
-        for k, (verts, sub) in enumerate(_split_components(G)):
-            rng_k = rng.split(1000 + k) if isinstance(rng, RngStream) else rng
-            parts.append((verts, sparsify_poly(sub, alpha, cfg, rng_k)))
+        parts = [
+            (verts, walk_graph(sub, D[verts], alpha, cfg, substream(rng, 1000 + k)))
+            for k, (verts, sub) in enumerate(_split_components(G))
+        ]
         return _join_components(G.n, parts)
 
+    # the 2 r m budget bounds the sampler's total mass, which only shrinks as D grows past A 1
     M = stage_one_edge_budget(alpha, G.m, G.n, cfg)
-    H = exact_walk_graph([G.adjacency] * alpha.d, G.degree, M, alpha.alpha)
+    H = exact_walk_graph([G.adjacency] * alpha.d, D, M, alpha.alpha)
     if H is None:
-        draw, tau = _mixture_draw(SamplerIndex(G), alpha)
+        draw, tau = _mixture_draw(SamplerIndex(G, D), alpha)
         H = graph_sampling(draw, tau, M, rng, G.n)
     if cfg.second_stage:
         from .resistance import resparsify
 
-        H = resparsify(H, cfg.eps_stage_two, cfg, rng if not isinstance(rng, RngStream) else rng.split(1))
+        H = resparsify(H, cfg.eps_stage_two, cfg, substream(rng, 1))
     return H
+
+
+def sparsify_poly(G: WeightedGraph, alpha: PolyCoeffs, cfg: SparsifyConfig, rng) -> WeightedGraph:
+    """Sparsifier H with L_H ~ L_alpha(G) within exp(+-epsilon) w.h.p."""
+    if G.m < 1:
+        raise ValidationError("graph has no edges")
+    return walk_graph(G, G.degree, alpha, cfg, rng)
 
 
 def sparsify_monomial(G: WeightedGraph, r, cfg: SparsifyConfig, rng) -> WeightedGraph:

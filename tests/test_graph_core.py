@@ -63,6 +63,15 @@ class TestWeightedGraph:
         assert ring6.is_bipartite()
         two = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
         assert not two.is_connected()
+        assert two.is_bipartite()
+        # an even and an odd ring side by side, then isolated vertices
+        mixed = [(i, (i + 1) % 4, 1.0) for i in range(4)] + [(4 + i, 4 + (i + 1) % 3, 1.0) for i in range(3)]
+        assert not WeightedGraph.from_edges(7, mixed).is_bipartite()
+        assert not WeightedGraph.from_edges(9, mixed).is_bipartite()
+        assert WeightedGraph.from_edges(9, mixed[:4]).is_bipartite()
+        assert WeightedGraph.from_edges(2, [(0, 1, 1.0)]).is_bipartite()
+        assert WeightedGraph.from_edges(2, []).is_bipartite()
+        assert WeightedGraph.from_edges(1, []).is_bipartite()
 
 
 class TestLaplacianView:

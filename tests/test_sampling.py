@@ -16,7 +16,7 @@ from walksparse import (
 from walksparse.oracle import canonical_path_masses, enumerate_paths
 from walksparse.sampling import _RowTable, total_mass
 
-from conftest import er_graph, ring_graph
+from conftest import er_graph, random_sddm, ring_graph
 
 
 class TestRngStream:
@@ -77,18 +77,27 @@ class TestSamplePaths:
         assert np.all(batch.u0 == batch.ur)
         np.testing.assert_allclose(batch.mass, 4.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_isolated_vertex_absorbs_nothing(self):
+        # D = 0 at an isolated vertex; its absorption is never read
+        G = WeightedGraph.from_edges(3, [(0, 1, 1.0)])
+        batch = sample_paths(SamplerIndex(G), 3, 100, RngStream(0))
+        assert np.all(batch.u0 != batch.ur)
+        np.testing.assert_allclose(batch.mass, 6.0)
+
     def test_weights_match_enumeration(self, triangle):
-        # aux multiplies the target weight over interior vertices, not the mass
-        idx = SamplerIndex(triangle)
+        # D = A 1 / aux divides weight and mass by D, so each gains the
+        # product of aux over the interior vertices
         aux = np.array([0.5, 0.9, 0.25])
-        batch = sample_paths(idx, 3, 200, RngStream(1), aux=aux, record_vertices=True)
+        idx = SamplerIndex(triangle, triangle.degree / aux)
+        batch = sample_paths(idx, 3, 200, RngStream(1), record_vertices=True)
         lookup = {p.vertices: p for p in enumerate_paths(triangle, 3)}
         for i in range(len(batch)):
             verts = tuple(int(x) for x in batch.vertices[i])
             p = lookup[verts]
             factor = np.prod(aux[list(verts[1:-1])])
             assert batch.weight[i] == pytest.approx(p.weight * factor, rel=1e-12)
-            assert batch.mass[i] == pytest.approx(p.mass, rel=1e-12)
+            assert batch.mass[i] == pytest.approx(p.mass * factor, rel=1e-12)
 
     def test_distribution_matches_tau(self, triangle):
         # canonical open walks appear with probability tau_p / (2 r m)
@@ -132,6 +141,20 @@ class TestGraphSampling:
         target = dense_monomial(triangle, 2)
         for u, v, w in zip(H.edge_u, H.edge_v, H.edge_w):
             assert w == pytest.approx(-target[u, v], rel=0.05)
+
+    def test_sddm_mixture_unbiased(self):
+        # walks normalized by the SDDM diagonal estimate M_alpha's off-diagonal
+        from walksparse import dense_poly
+        from walksparse.sparsify import _mixture_draw
+
+        M = random_sddm(10, 0.4, 9)
+        alpha = PolyCoeffs.parse("0.5,0.3,0.2")
+        draw, tau = _mixture_draw(SamplerIndex(M.offdiag, M.diag), alpha)
+        assert tau < sum(a * total_mass(r, M.offdiag.m) for r, a in enumerate(alpha.alpha, start=1))
+        H = graph_sampling(draw, tau, 400000, RngStream(9), M.n)
+        target = -dense_poly(M, alpha)
+        off = ~np.eye(M.n, dtype=bool)
+        np.testing.assert_allclose(H.adjacency_dense()[off], target[off], rtol=0.05, atol=0.01 * target[off].max())
 
     def test_total_mass_formula(self):
         assert total_mass(3, 7) == 42.0

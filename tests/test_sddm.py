@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -91,6 +92,32 @@ class TestSparsifySddm:
         with pytest.raises(InputRefusedError):
             sparsify_sddm(M, PolyCoeffs.parse("1"), SparsifyConfig(epsilon=0.5), RngStream(0))
 
+    @pytest.mark.parametrize("route", ["exact", "sampled"])
+    def test_disconnected_componentwise(self, route, request):
+        # two SDDM blocks on interleaved vertices, so each component needs
+        # its own slice of the diagonal
+        if route == "sampled":
+            request.getfixturevalue("sampled")
+        A, B = random_sddm(20, 0.3, 21), random_sddm(16, 0.35, 22, slack=3.0)
+        perm = np.random.default_rng(5).permutation(A.n + B.n)
+        diag = np.zeros(A.n + B.n)
+        diag[perm[: A.n]], diag[perm[A.n :]] = A.diag, B.diag
+        edges = [
+            (perm[shift + u], perm[shift + v], w)
+            for shift, X in ((0, A), (A.n, B))
+            for u, v, w in zip(X.offdiag.edge_u, X.offdiag.edge_v, X.offdiag.edge_w)
+        ]
+        M = SddmMatrix(diag, WeightedGraph.from_edges(len(diag), edges))
+        alpha = PolyCoeffs.parse("0.5,0.5")
+        eps = 0.5
+        res = sparsify_sddm(M, alpha, SparsifyConfig(epsilon=eps, allow_disconnected=True), RngStream(6))
+        dense = dense_poly(M, alpha)
+        vals, mismatch = generalized_eigenvalues(res.dense(), dense)
+        assert not mismatch
+        assert vals.min() >= math.exp(-eps) and vals.max() <= math.exp(eps)
+        if route == "exact":
+            assert similarity_check(res.dense(), dense, 1e-9).eps_required <= 1e-9
+
     def test_empty_offdiag_rejected(self):
         G = WeightedGraph.from_edges(3, [])
         M = SddmMatrix(np.ones(3), G)
@@ -99,8 +126,8 @@ class TestSparsifySddm:
 
     @pytest.mark.usefixtures("sampled")
     def test_large_slack_damps_walks(self):
-        # heavy diagonal slack shrinks off-diagonal polynomial mass; the
-        # sampled target weights must follow via the degree-ratio factor
+        # heavy diagonal slack shrinks off-diagonal polynomial mass; walks
+        # normalized by the SDDM diagonal must follow it
         G = er_graph(25, 0.3, 14)
         M = SddmMatrix(G.degree * 3.0, G)
         alpha = PolyCoeffs.parse("0,1")
