@@ -7,7 +7,9 @@ Vertex ids are dense 0-based integers; loaders remap external ids.
 
 from __future__ import annotations
 
+import io
 import logging
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +39,8 @@ class WeightedGraph:
         if _validate:
             if u.shape != v.shape or u.shape != w.shape:
                 raise ValidationError("edge arrays must have equal length")
-            if np.any(w <= 0):
-                raise ValidationError("edge weights must be strictly positive")
+            if not np.all(np.isfinite(w) & (w > 0)):
+                raise ValidationError("edge weights must be finite and strictly positive")
             if np.any(u == v):
                 raise ValidationError("self-loops are not stored")
             if len(u) and (u.min() < 0 or max(u.max(), v.max()) >= n):
@@ -80,11 +82,14 @@ class WeightedGraph:
         """Build from (u, v, w) triples; duplicate edges are summed."""
         if len(edges) == 0:
             return cls(n, [], [], [], labels=labels)
-        u, v, w = (np.asarray(col) for col in zip(*edges))
+        return cls._from_arrays(n, *(np.asarray(c) for c in zip(*edges)), merge_duplicates, labels)
+
+    @classmethod
+    def _from_arrays(cls, n, u, v, w, merge_duplicates=True, labels=None):
         loops = int(np.sum(u == v))
         if loops:
             # self-loops contribute nothing to the Laplacian quadratic form
-            log.warning("dropping %d self-loop(s)", loops)
+            log.warning("dropped %d self-loop entries (they cancel in D - A)", loops)
             keep = u != v
             u, v, w = u[keep], v[keep], w[keep]
         if merge_duplicates:
@@ -219,22 +224,28 @@ class SddmMatrix:
     """Split form M = diag - offdiag with nonnegative symmetric offdiag.
 
     Diagonal dominance slack diag(i) - sum_j offdiag(i, j) must be
-    nonnegative everywhere and strictly positive somewhere.
+    nonnegative everywhere and strictly positive somewhere in each connected
+    component of offdiag that has an edge (else that block is singular).
     """
 
     def __init__(self, diag, offdiag: WeightedGraph, tol=1e-12):
         diag = np.asarray(diag, dtype=np.float64)
         if diag.shape != (offdiag.n,):
             raise ValidationError("diagonal length must match vertex count")
-        if np.any(diag <= 0):
-            raise ValidationError("diagonal entries must be positive")
+        if not np.all(np.isfinite(diag) & (diag > 0)):
+            raise ValidationError("diagonal entries must be finite and positive")
         slack = diag - offdiag.degree
         scale = np.maximum(diag, 1.0)
         if np.any(slack < -tol * scale):
             raise ValidationError("matrix is not diagonally dominant")
         slack = np.maximum(slack, 0.0)
-        if offdiag.m > 0 and not np.any(slack > tol * scale):
-            raise ValidationError("splitting is not positive definite (zero slack everywhere)")
+        ncomp, comp = connected_components(offdiag.adjacency, directed=False)
+        dry = np.bincount(comp, minlength=ncomp) > 1
+        dry[comp[slack > tol * scale]] = False
+        if np.any(dry):
+            c = np.argmax(dry)
+            raise ValidationError(f"splitting is not positive definite: component {c} of {ncomp} "
+                                  f"(from vertex {np.argmax(comp == c)}) has no diagonal slack")
         self.diag = diag
         self.offdiag = offdiag
         self.slack = slack
@@ -275,19 +286,65 @@ class SddmMatrix:
 #   * Matrix Market coordinate real (general or symmetric), 1-based indices;
 #   * whitespace-separated edge list "u v w" with '#' comments.
 # Output edges are sorted by (u, v) with weights at 17 significant digits.
+# One np.loadtxt call parses a body and array operations check it; the line
+# scanner runs only when loadtxt fails or a check refuses a row, to name it.
 # ---------------------------------------------------------------------------
+
+_ROW = [("u", np.int64), ("v", np.int64), ("w", np.float64)]
+_MM_HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
+_WRITE_CHUNK = 1 << 16
 
 
 def _merge_duplicate_edges(u, v, w):
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
     key = lo * (np.max(hi, initial=0) + 1) + hi
-    uniq, inv = np.unique(key, return_inverse=True)
-    wsum = np.zeros(len(uniq))
-    np.add.at(wsum, inv, w)
-    first = np.zeros(len(uniq), dtype=np.int64)
-    first[inv[::-1]] = np.arange(len(u))[::-1]
-    return lo[first], hi[first], wsum
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    return lo[first], hi[first], np.bincount(inv, weights=w, minlength=len(first))
+
+
+class _Body:
+    """The 'u v w' rows of an open graph file from line `start` on. comments is
+    '#' (edge lists) or None (Matrix Market: a '%' line is a comment and a '%'
+    after data an error; loadtxt fails on both, so such files are scanned)."""
+
+    def __init__(self, fh, start, comments):
+        self.fh, self.start, self.comments, self.lines = fh, start, comments, None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty body
+                rows = np.loadtxt(fh, dtype=_ROW, comments=comments, ndmin=1)
+            self.u, self.v, self.w = rows["u"], rows["v"], rows["w"]
+        except ValueError:
+            self._scan()
+        self.refuse(~np.isfinite(self.w), lambda k: f"weight {self.w[k]} is not finite")
+
+    def _scan(self):
+        """Parse line by line, raising at the first line that is not 'u v w'."""
+        self.fh.seek(0)
+        lines, rows = [], []
+        for i, line in enumerate(self.fh, 1):
+            text = (line.split(self.comments, 1)[0] if self.comments else line).strip()
+            if i < self.start or not text or (self.comments is None and text[0] == "%"):
+                continue
+            parts = text.split()
+            if len(parts) != 3:
+                raise GraphFormatError(f"expected 'u v w', got {text!r}", line=i)
+            try:
+                rows.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            except ValueError:
+                raise GraphFormatError(f"cannot parse {text!r}", line=i) from None
+            lines.append(i)
+        u, v, w = zip(*rows) if rows else ((), (), ())
+        ids = np.int64 if all(abs(x) < 2**63 for x in u + v) else object  # int() reads any id
+        self.lines, self.u, self.v, self.w = lines, np.array(u, ids), np.array(v, ids), np.array(w)
+
+    def refuse(self, bad, message):
+        """Raise GraphFormatError(message(k)) at the first row k where bad holds."""
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            if self.lines is None:
+                self._scan()
+            raise GraphFormatError(message(k), line=self.lines[k])
 
 
 def load_graph(path, fmt=None, symmetrize=False):
@@ -297,167 +354,111 @@ def load_graph(path, fmt=None, symmetrize=False):
     symmetrize allows Matrix Market 'general' files that list only one
     triangle; without it a one-sided entry is an error.
     """
-    with open(path) as fh:
-        lines = fh.readlines()
-    if fmt is None:
-        fmt = "matrix-market" if lines and lines[0].startswith("%%MatrixMarket") else "edge-list"
-    if fmt == "matrix-market":
-        n, entries = _parse_matrix_market(lines, symmetrize=symmetrize)
-    elif fmt == "edge-list":
-        n, entries = _parse_edge_list(lines)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return _assemble_graph(n, entries)
+    with open(path) as raw:
+        fh = raw if raw.seekable() else io.StringIO(raw.read())  # the scanner rereads
+        if fmt is None:
+            fmt = "matrix-market" if fh.readline().startswith("%%MatrixMarket") else "edge-list"
+            fh.seek(0)
+        if fmt == "matrix-market":
+            n, kind, body, u, v, w = _read_matrix_market(fh)
+            if kind == "general" and not symmetrize:
+                return WeightedGraph._from_arrays(n, *_merge_general(body, n, u, v, w))
+        elif fmt == "edge-list":
+            body = _Body(fh, 1, "#")
+            if len(body.w) == 0:
+                raise GraphFormatError("no edges found")
+            ids, inv = np.unique(np.concatenate([body.u, body.v]), return_inverse=True)
+            n, u, v, w = len(ids), inv[: len(body.w)], inv[len(body.w):], body.w
+        else:
+            raise ValueError(f"unknown format {fmt!r}")
+        body.refuse(w < 0, lambda k: f"negative weight {w[k]}")
+    return WeightedGraph._from_arrays(n, u, v, w)
 
 
-def _assemble_graph(n, entries):
-    """entries: list of (line, u, v, w) with 0-based ids, possibly duplicated."""
-    loops = 0
-    kept = []
-    for line, u, v, w in entries:
-        if w < 0:
-            raise GraphFormatError(f"negative weight {w!r}", line=line)
-        if u == v:
-            loops += 1
-            continue
-        kept.append((u, v, w))
-    if loops:
-        log.warning("dropped %d self-loop entries (they cancel in D - A)", loops)
-    graph = WeightedGraph.from_edges(n, kept)
-    graph.self_loops_dropped = loops
-    return graph
-
-
-def _parse_edge_list(lines):
-    raw = []
-    for i, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split()
-        if len(parts) != 3:
-            raise GraphFormatError(f"expected 'u v w', got {line.strip()!r}", line=i)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2])
-        except ValueError:
-            raise GraphFormatError(f"cannot parse {line.strip()!r}", line=i) from None
-        raw.append((i, u, v, w))
-    if not raw:
-        raise GraphFormatError("no edges found")
-    ids = sorted({u for _, u, v, _ in raw} | {v for _, _, v, _ in raw})
-    if ids[0] == 0 and ids[-1] == len(ids) - 1:
-        remap = None
-    else:
-        remap = {ext: k for k, ext in enumerate(ids)}
-    entries = []
-    for line, u, v, w in raw:
-        if remap is not None:
-            u, v = remap[u], remap[v]
-        entries.append((line, u, v, w))
-    return len(ids), entries
-
-
-def _parse_matrix_market(lines, symmetrize=False):
-    header = lines[0].split()
+def _read_matrix_market(fh):
+    """Header, size line and entries (0-based) of a Matrix Market file."""
+    header = fh.readline().split()
     if len(header) < 5 or header[0] != "%%MatrixMarket":
         raise GraphFormatError("missing MatrixMarket header", line=1)
     kind = header[4].lower()
     if header[1:4] != ["matrix", "coordinate", "real"] or kind not in ("general", "symmetric"):
         raise GraphFormatError(f"unsupported MatrixMarket type {' '.join(header[1:])!r}", line=1)
-    body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip() and not ln.lstrip().startswith("%")]
-    if not body:
-        raise GraphFormatError("missing size line")
-    size_line, size_text = body[0]
-    parts = size_text.split()
+    i, text = 1, ""
+    while not text or text.startswith("%"):
+        line = fh.readline()
+        if not line:
+            raise GraphFormatError("missing size line")
+        i, text = i + 1, line.strip()
     try:
-        nrow, ncol, nnz = int(parts[0]), int(parts[1]), int(parts[2])
-    except (ValueError, IndexError):
-        raise GraphFormatError(f"bad size line {size_text.strip()!r}", line=size_line) from None
-    if nrow != ncol:
-        raise GraphFormatError("matrix must be square", line=size_line)
-    raw = []
-    for i, text in body[1:]:
-        parts = text.split()
-        if len(parts) != 3:
-            raise GraphFormatError(f"expected 'i j value', got {text.strip()!r}", line=i)
-        try:
-            u, v = int(parts[0]) - 1, int(parts[1]) - 1
-            w = float(parts[2])
-        except ValueError:
-            raise GraphFormatError(f"cannot parse {text.strip()!r}", line=i) from None
-        if not (0 <= u < nrow and 0 <= v < nrow):
-            raise GraphFormatError(f"index out of range in {text.strip()!r}", line=i)
-        raw.append((i, u, v, w))
-    if len(raw) != nnz:
-        raise GraphFormatError(f"expected {nnz} entries, found {len(raw)}")
-    if kind == "symmetric" or symmetrize:
-        return nrow, raw
-    # general: both triangles must be present and agree after duplicate merge
-    acc = {}
-    for line, u, v, w in raw:
-        acc[(u, v)] = acc.get((u, v), 0.0) + w
-    entries = []
-    for line, u, v, w in raw:
-        if u >= v:
-            continue
-        if (v, u) not in acc:
-            raise GraphFormatError(f"entry ({u + 1},{v + 1}) has no symmetric partner", line=line)
-        if abs(acc[(u, v)] - acc[(v, u)]) > 1e-12 * max(abs(acc[(u, v)]), 1.0):
-            raise GraphFormatError(f"asymmetric value at ({u + 1},{v + 1})", line=line)
-        entries.append((line, u, v, acc[(u, v)]))
-    seen_diag = set()
-    for line, u, v, w in raw:
-        if u == v and u not in seen_diag:
-            seen_diag.add(u)
-            entries.append((line, u, v, acc[(u, u)]))
-    missing = [p for p in acc if p[0] < p[1] and (p[1], p[0]) not in acc]
-    if missing:
-        raise GraphFormatError(f"entry {missing[0]} has no symmetric partner")
-    return nrow, entries
+        n, ncol, nnz = map(int, text.split()[:3])
+    except ValueError:
+        raise GraphFormatError(f"bad size line {text!r}", line=i) from None
+    if n != ncol:
+        raise GraphFormatError("matrix must be square", line=i)
+    body = _Body(fh, i + 1, None)
+    u, v = body.u - 1, body.v - 1
+    out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    body.refuse(out, lambda k: f"index ({u[k] + 1},{v[k] + 1}) out of range 1..{n}")
+    if len(u) != nnz:
+        raise GraphFormatError(f"expected {nnz} entries, found {len(u)}")
+    return n, kind, body, u, v, body.w
+
+
+def _merge_general(body, n, u, v, w):
+    """Upper-triangle edges of a 'general' file, duplicates summed. Each
+    off-diagonal (u, v) needs a (v, u) whose sum agrees to 1e-12 relative."""
+    keys, inv = np.unique(u * n + v, return_inverse=True)
+    acc = np.bincount(inv, weights=w)
+    flip = keys % n * n + keys // n
+    pos = np.minimum(np.searchsorted(keys, flip), len(keys) - 1)
+    paired = keys[pos] == flip
+    asym = np.abs(acc - acc[pos]) > 1e-12 * np.maximum(np.abs(acc), 1.0)
+    body.refuse(~paired[inv] | ((u < v) & asym[inv]), lambda k: f"entry ({u[k] + 1},{v[k] + 1}) "
+                + ("has an asymmetric value" if paired[inv[k]] else "has no symmetric partner"))
+    body.refuse((u <= v) & (acc[inv] < 0), lambda k: f"negative weight {acc[inv[k]]}")
+    upper = keys // n <= keys % n
+    return keys[upper] // n, keys[upper] % n, acc[upper]
+
+
+def _write_rows(fh, u, v, w):
+    """Write 'u v w' lines, formatting a chunk of rows with one % operation."""
+    for s in range(0, len(w), _WRITE_CHUNK):
+        cols = [c[s : s + _WRITE_CHUNK].tolist() for c in (u, v, w)]
+        flat = [None] * (3 * len(cols[2]))
+        flat[0::3], flat[1::3], flat[2::3] = cols
+        fh.write("%d %d %.17g\n" * len(cols[2]) % tuple(flat))
 
 
 def save_graph(G: WeightedGraph, path, fmt="matrix-market"):
     """Write edges sorted by (u, v); weights keep 17 significant digits."""
     with open(path, "w") as fh:
         if fmt == "matrix-market":
-            fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-            fh.write(f"{G.n} {G.n} {G.m}\n")
-            for u, v, w in zip(G.edge_u, G.edge_v, G.edge_w):
-                fh.write(f"{u + 1} {v + 1} {w:.17g}\n")
+            fh.write(f"{_MM_HEADER}{G.n} {G.n} {G.m}\n")
+            _write_rows(fh, G.edge_u + 1, G.edge_v + 1, G.edge_w)
         elif fmt == "edge-list":
-            for u, v, w in zip(G.edge_u, G.edge_v, G.edge_w):
-                fh.write(f"{u} {v} {w:.17g}\n")
+            _write_rows(fh, G.edge_u, G.edge_v, G.edge_w)
         else:
             raise ValueError(f"unknown format {fmt!r}")
 
 
 def load_sddm(path):
     """Read an SDDM matrix from Matrix Market coordinate (diagonal included)."""
-    with open(path) as fh:
-        lines = fh.readlines()
-    n, entries = _parse_matrix_market(lines, symmetrize=True)
-    diag = np.zeros(n)
-    off = []
-    for line, u, v, w in entries:
-        if u == v:
-            diag[u] += w
-        else:
-            if w > 0:
-                raise GraphFormatError("SDDM off-diagonal entries must be nonpositive", line=line)
-            off.append((u, v, -w))
-    return SddmMatrix(diag, WeightedGraph.from_edges(n, off))
+    with open(path) as raw:
+        fh = raw if raw.seekable() else io.StringIO(raw.read())
+        n, _, body, u, v, w = _read_matrix_market(fh)
+        off = u != v
+        body.refuse(off & (w > 0), lambda k: "SDDM off-diagonal entries must be nonpositive")
+    diag = np.bincount(u[~off], weights=w[~off], minlength=n)
+    return SddmMatrix(diag, WeightedGraph._from_arrays(n, u[off], v[off], -w[off]))
 
 
 def save_sddm(M: SddmMatrix, path):
     G = M.offdiag
+    idx = np.arange(1, M.n + 1)
     with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        fh.write(f"{M.n} {M.n} {M.n + G.m}\n")
-        for i in range(M.n):
-            fh.write(f"{i + 1} {i + 1} {M.diag[i]:.17g}\n")
-        for u, v, w in zip(G.edge_u, G.edge_v, G.edge_w):
-            fh.write(f"{u + 1} {v + 1} {-w:.17g}\n")
+        fh.write(f"{_MM_HEADER}{M.n} {M.n} {M.n + G.m}\n")
+        _write_rows(fh, idx, idx, M.diag)
+        _write_rows(fh, G.edge_u + 1, G.edge_v + 1, -G.edge_w)
 
 
 def validate_poly_laplacian(G: WeightedGraph, alpha: PolyCoeffs, threshold=DENSE_THRESHOLD):

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import comb
 
 from .errors import ConvergenceError, ValidationError
 from .graph import PolyCoeffs, SddmMatrix, WeightedGraph
@@ -159,7 +158,8 @@ def inv_sqrt_chain(
     chain = FactorChain(q=1)
     cur = M
     for k in range(max_iters):
-        rho = spectral_radius(cur)
+        if k:  # step 0 is M itself, measured above
+            rho = spectral_radius(cur)
         chain.rho_history.append(rho)
         if rho < threshold:
             chain.terminal_diag = cur.diag.copy()
@@ -185,8 +185,7 @@ def qth_root_coefficients(q) -> PolyCoeffs:
     t = 2 * q
     # alpha_r = C(t, r-1)/t^(r-1) - C(t, r)/t^r for r = 1..t+1
     alpha = np.array(
-        [comb(t, r - 1, exact=True) / t ** (r - 1) - comb(t, r, exact=True) / t**r
-         for r in range(1, t + 2)],
+        [math.comb(t, r - 1) / t ** (r - 1) - math.comb(t, r) / t**r for r in range(1, t + 2)],
         dtype=np.float64,
     )
     if np.any(alpha < -1e-12):

@@ -61,6 +61,15 @@ class TestExitCodes:
                      "-o", str(tmp_path / "x.mtx")])
         assert code == 3
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_weight_is_invalid_input(self, tmp_path, bad):
+        p = tmp_path / "g.txt"
+        p.write_text(f"0 1 1.0\n1 2 {bad}\n2 3 1.0\n3 0 1.0\n")
+        out = tmp_path / "out.mtx"
+        code = main(["sparsify-poly", "-i", str(p), "-o", str(out), "--alpha", "0.5,0.5"])
+        assert code == 3
+        assert not out.exists()
+
     def test_refused_disconnected(self, tmp_path):
         G = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
         p = tmp_path / "disc.mtx"

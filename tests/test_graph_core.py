@@ -1,4 +1,7 @@
+import logging
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from walksparse import (
     save_sddm,
     validate_poly_laplacian,
 )
+from walksparse import graph
 
 from conftest import er_graph, path_graph
 
@@ -54,6 +58,11 @@ class TestWeightedGraph:
             WeightedGraph.from_edges(2, [(0, 1, 0.0)])
         with pytest.raises(ValidationError):
             WeightedGraph.from_edges(2, [(0, 1, -1.0)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_weight_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            WeightedGraph(2, [0], [1], [bad])
 
     def test_connectivity_and_bipartiteness(self):
         ring5 = WeightedGraph.from_edges(5, [(i, (i + 1) % 5, 1.0) for i in range(5)])
@@ -137,6 +146,27 @@ class TestSddmMatrix:
         with pytest.raises(ValidationError):
             SddmMatrix(np.array([1.0, 3.0]), G)
 
+    def test_component_without_slack_rejected(self):
+        # two 20-vertex unit paths; only vertex 0 of the first has slack
+        edges = [(i, i + 1, 1.0) for i in range(19)] + [(i, i + 1, 1.0) for i in range(20, 39)]
+        G = WeightedGraph.from_edges(40, edges)
+        diag = G.degree.copy()
+        diag[0] += 0.5
+        with pytest.raises(ValidationError, match=r"component 1 of 2 \(from vertex 20\)"):
+            SddmMatrix(diag, G)
+        diag[20] += 0.5
+        SddmMatrix(diag, G)
+
+    def test_isolated_vertices_need_no_slack(self):
+        M = SddmMatrix(np.ones(3), WeightedGraph.from_edges(3, []), tol=math.inf)
+        assert M.n == 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_diagonal_rejected(self, bad):
+        G = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+        with pytest.raises(ValidationError, match="finite"):
+            SddmMatrix(np.array([3.0, bad]), G)
+
     def test_from_dense_roundtrip(self):
         M = SddmMatrix.from_dense(np.array([[3.0, -1.0], [-1.0, 2.0]]))
         assert M.offdiag.m == 1
@@ -196,6 +226,155 @@ class TestFileIO:
         save_sddm(M, p)
         M2 = load_sddm(p)
         np.testing.assert_allclose(M2.dense(), M.dense(), rtol=1e-12)
+
+
+MM_SYM = "%%MatrixMarket matrix coordinate real symmetric\n"
+MM_GEN = "%%MatrixMarket matrix coordinate real general\n"
+
+
+def per_edge_rows(u, v, w):
+    """Reference writer: one f-string per edge."""
+    return "".join(f"{a} {b} {x:.17g}\n" for a, b, x in zip(u, v, w))
+
+
+def _no_loadtxt(*args, **kwargs):
+    raise ValueError("line scanner forced")
+
+
+def load_both_ways(monkeypatch, caplog, path, loader=load_graph, **kwargs):
+    """[(result, self-loop warning counts)] by np.loadtxt, then by the line scanner."""
+    out = []
+    for scan in (False, True):
+        if scan:
+            monkeypatch.setattr(graph.np, "loadtxt", _no_loadtxt)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="walksparse"):
+            res = loader(path, **kwargs)
+        out.append((res, [r.args[0] for r in caplog.records if "self-loop" in r.getMessage()]))
+    return out
+
+
+class TestFileLayer:
+    def test_save_bytes_match_per_edge_writer(self, tmp_path):
+        gen = np.random.default_rng(11)
+        iu, iv = np.triu_indices(400, 1)
+        pick = gen.choice(len(iu), 70_000, replace=False)  # more than one write chunk
+        w = 10 ** gen.uniform(-8, 8, len(pick))
+        w[:2] = [5e-324, 1 - 2**-53]
+        G = WeightedGraph(400, iu[pick], iv[pick], w)
+        u, v = G.edge_u, G.edge_v
+        save_graph(G, tmp_path / "g.mtx")
+        assert (tmp_path / "g.mtx").read_text() == (
+            MM_SYM + f"400 400 {G.m}\n" + per_edge_rows(u + 1, v + 1, G.edge_w)
+        )
+        save_graph(G, tmp_path / "g.txt", fmt="edge-list")
+        assert (tmp_path / "g.txt").read_text() == per_edge_rows(u, v, G.edge_w)
+        assert load_graph(tmp_path / "g.mtx") == G
+        assert load_graph(tmp_path / "g.txt") == G
+
+        M = SddmMatrix(G.degree + 10 ** gen.uniform(-8, 8, G.n), G)
+        save_sddm(M, tmp_path / "m.mtx")
+        idx = np.arange(1, G.n + 1)
+        assert (tmp_path / "m.mtx").read_text() == (
+            MM_SYM + f"400 400 {G.n + G.m}\n"
+            + per_edge_rows(idx, idx, M.diag) + per_edge_rows(u + 1, v + 1, -G.edge_w)
+        )
+        M2 = load_sddm(tmp_path / "m.mtx")
+        assert np.array_equal(M2.diag, M.diag) and M2.offdiag == G
+
+    @pytest.mark.parametrize(
+        "text, n, m, loops",
+        [
+            ("0 1 1.5\n1 0 2.5\n1 2 1.0\n0 1 0.25\n", 3, 2, []),
+            ("0 0 5\n0 1 1\n1 1 2\n1 2 1\n", 3, 2, [2]),
+            ("# head\n\n0 1 1.0  # tail\n   \n# mid\n1 2 2.0\n", 3, 2, []),
+            (MM_SYM + "% c\n\n3 3 2\n1 2 1.0\n\n% mid\n  % indented\n2 3 2.0\n", 3, 2, []),
+            ("10 30 1.0\n30 -7 2.0\n", 3, 2, []),
+            ("100000000000000000000 5 1.0\n5 7 2.0\n", 3, 2, []),
+            (MM_GEN + "3 3 6\n1 2 1.5\n2 1 1.5\n3 2 2.0\n2 3 2.0\n3 3 1.0\n3 3 1.0\n", 3, 2, [1]),
+            (MM_SYM + "3 3 0\n", 3, 0, []),
+        ],
+        ids=["duplicates", "self-loops", "comments", "mm-comments", "remapped-ids",
+             "ids-beyond-int64", "general-both-triangles", "empty-body"],
+    )
+    def test_fast_loader_equals_line_scanner(self, tmp_path, monkeypatch, caplog, text, n, m, loops):
+        p = tmp_path / "g"
+        p.write_text(text)
+        (fast, fast_loops), (scanned, scanned_loops) = load_both_ways(monkeypatch, caplog, p)
+        assert fast == scanned and (fast.n, fast.m) == (n, m)
+        assert fast_loops == scanned_loops == loops
+        assert fast.self_loops_dropped == scanned.self_loops_dropped == sum(loops)
+
+    def test_sddm_fast_loader_equals_line_scanner(self, tmp_path, monkeypatch, caplog):
+        p = tmp_path / "m.mtx"
+        p.write_text(MM_SYM + "3 3 6\n1 1 4.0\n2 1 -1.0\n2 2 3.0\n% c\n1 2 -0.5\n3 3 2.0\n1 1 0.5\n")
+        (fast, _), (scanned, _) = load_both_ways(monkeypatch, caplog, p, loader=load_sddm)
+        np.testing.assert_array_equal(fast.diag, [4.5, 3.0, 2.0])
+        assert np.array_equal(fast.diag, scanned.diag) and fast.offdiag == scanned.offdiag
+        assert fast.offdiag.edge_w.tolist() == [1.5]
+
+    def test_pipe_input(self, tmp_path):
+        G = er_graph(12, 0.4, 5, weighted=True)
+        save_graph(G, tmp_path / "g.mtx")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        feed = threading.Thread(target=lambda: fifo.write_bytes((tmp_path / "g.mtx").read_bytes()),
+                                daemon=True)
+        feed.start()
+        assert load_graph(fifo) == G
+        feed.join(timeout=10)
+
+    def test_general_duplicates_summed_once(self, tmp_path):
+        p = tmp_path / "g.mtx"
+        p.write_text(MM_GEN + "2 2 3\n1 2 1.0\n1 2 1.0\n2 1 2.0\n")
+        assert load_graph(p).edge_w.tolist() == [2.0]
+
+    @pytest.mark.parametrize("scan", [False, True], ids=["loadtxt", "scanner"])
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("0 1 1.0\n1 2\n", 2),
+            (MM_SYM + "3 3 2\n1 2 1.0\n2 3 1.0 7\n", 4),
+            ("0 1 1.0\n1.5 2 1.0\n", 2),
+            (MM_SYM + "3 3 1\n1e0 2 1.0\n", 3),
+            (MM_SYM + "3 3 2\n1 2 1.0\n4 1 1.0\n", 4),
+            (MM_SYM + "3 3 2\n1 2 1.0\n0 1 1.0\n", 4),
+            (MM_SYM + "3 3 2\n1 2 1.0\n2 3 -1.0\n", 4),
+            ("0 1 1.0\n# c\n1 2 nan\n", 3),
+            (MM_GEN + "3 3 2\n1 2 inf\n2 1 inf\n", 3),
+            (MM_SYM + "3 3 3\n1 2 1.0\n", None),
+            (MM_SYM + "3 3 1\n1 2 1.0\n2 3 1.0\n", None),
+            (MM_GEN + "3 3 3\n1 2 1.0\n2 1 1.0\n2 3 1.0\n", 5),
+            (MM_GEN + "3 3 3\n1 2 1.0\n2 1 1.0\n3 2 1.0\n", 5),
+            (MM_GEN + "2 2 2\n1 2 1.0\n2 1 1.5\n", 3),
+            (MM_SYM + "3 3 2\n1 2 1.0 % note\n2 3 1.0\n", 3),
+            (MM_SYM + "3 3 2\n1 2 1.0\n2 3 1.0%\n", 4),
+        ],
+        ids=["2-columns", "4-columns", "index-1.5", "index-1e0", "index-above-n", "index-0",
+             "negative-weight", "nan-weight", "inf-weight", "too-few-entries",
+             "too-many-entries", "one-sided-upper", "one-sided-lower", "asymmetric",
+             "inline-percent", "trailing-percent"],
+    )
+    def test_malformed_file_names_its_line(self, tmp_path, monkeypatch, scan, text, line):
+        if scan:
+            monkeypatch.setattr(graph.np, "loadtxt", _no_loadtxt)
+        p = tmp_path / "g"
+        p.write_text(text)
+        with pytest.raises(GraphFormatError) as exc:
+            load_graph(p)
+        assert exc.value.line == line
+        assert (f"line {line}:" in str(exc.value)) if line else "entries" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [("1 1 4.0\n1 2 0.5\n2 2 4.0\n", 4), ("1 1 4.0\n2 2 nan\n1 2 -1.0\n", 4)],
+        ids=["positive-offdiagonal", "nan-diagonal"],
+    )
+    def test_malformed_sddm_names_its_line(self, tmp_path, body, line):
+        p = tmp_path / "m.mtx"
+        p.write_text(MM_SYM + "2 2 3\n" + body)
+        with pytest.raises(GraphFormatError, match=f"^line {line}:"):
+            load_sddm(p)
 
 
 class TestPolyLaplacianPreservation:

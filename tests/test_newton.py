@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import typing
 
 import numpy as np
@@ -18,6 +21,8 @@ from walksparse import (
     qth_root_coefficients,
     qth_root_reduce_step,
 )
+import walksparse
+from walksparse import newton
 from walksparse.newton import NEWTON_ALPHA, AffineFactor, dense_newton_step, spectral_radius
 
 from conftest import random_sddm
@@ -56,6 +61,22 @@ class TestQthRootCoefficients:
     def test_q_zero_rejected(self):
         with pytest.raises(ValidationError):
             qth_root_coefficients(0)
+
+    def test_math_comb_matches_scipy_comb(self):
+        from scipy.special import comb
+
+        for q in range(1, 7):
+            t = 2 * q
+            alpha = [comb(t, r - 1, exact=True) / t ** (r - 1) - comb(t, r, exact=True) / t**r
+                     for r in range(1, t + 2)]
+            np.testing.assert_array_equal(qth_root_coefficients(q).alpha, np.maximum(alpha, 0.0))
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        src = os.path.dirname(os.path.dirname(walksparse.__file__))
+        code = "import sys, walksparse; print('scipy.special' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestNewtonSqrtStep:
@@ -147,6 +168,14 @@ class TestInvSqrtChain:
         x = np.random.default_rng(1).standard_normal(M.n)
         np.testing.assert_allclose(chain.dense() @ x, chain.apply(x), rtol=1e-10)
         np.testing.assert_allclose(chain.dense().T @ x, chain.apply_t(x), rtol=1e-10)
+
+    def test_spectral_radius_once_per_step(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(newton, "spectral_radius", lambda M: calls.append(M) or spectral_radius(M))
+        M = random_sddm(30, 0.25, 4, slack=0.5)
+        chain = inv_sqrt_chain(M, 0.2, dense=True)
+        assert len(calls) == len(chain.rho_history) > 1
+        assert calls[0] is M
 
     def test_nonpositive_eps_rejected(self):
         M = random_sddm(10, 0.4, 6)
