@@ -11,6 +11,7 @@ Run with: python3 demos/04_stage_one_routes.py
 
 import logging
 import math
+import re
 import time
 
 import numpy as np
@@ -32,7 +33,7 @@ class LastMessage(logging.Handler):
 def best_time(G, alpha, cfg, route):
     exact = sparsify.exact_walk_graph
     force = {
-        "exact": lambda layers, D, M, a=None: exact(layers, D, math.inf, a),
+        "exact": lambda layers, D, M, a: exact(layers, D, math.inf, a),
         "sample": lambda *args: None,
     }[route]
     sparsify.exact_walk_graph = force
@@ -59,9 +60,10 @@ def main():
         alpha = PolyCoeffs.parse(a)
         for n, degree in ((400, 20), (400, 200), (1000, 20), (1000, 100)):
             G = random_graph(n, degree, seed=1)
+            sparsify_poly(G, alpha, cfg, RngStream(0))  # the rule's own route logs "... M = N"
+            M = int(re.search(r"M = ([\d,]+)", last.text).group(1).replace(",", ""))
             t_exact = best_time(G, alpha, cfg, "exact")
             madds = int(last.text.split()[3].replace(",", ""))  # "stage 1 exact: N multiply-adds ..."
-            M = sparsify.stage_one_edge_budget(alpha, G.m, G.n, cfg)
             t_sample = best_time(G, alpha, cfg, "sample")
             print(f"{a:>20} {n:>5} {degree:>4} {madds:>12,} {M:>10,} {madds / M:>6.2f}"
                   f" {t_exact:>8.3f} {t_sample:>8.3f}", flush=True)

@@ -18,7 +18,6 @@ from .errors import (
     WalksparseError,
 )
 from .graph import (
-    LaplacianView,
     PolyCoeffs,
     SddmMatrix,
     WeightedGraph,
@@ -26,7 +25,6 @@ from .graph import (
     load_sddm,
     save_graph,
     save_sddm,
-    validate_poly_laplacian,
 )
 from .highdegree import DegreeSchedule, MonomialApprox, schedule, sparsify_high_degree
 from .newton import (
@@ -49,7 +47,7 @@ from .oracle import (
     support_check,
     total_enumerated_mass,
 )
-from .resistance import ErOracle, er_oracle_build, er_query, estimate_er, resparsify
+from .resistance import ErOracle, er_oracle_build, estimate_er, resparsify
 from .sampling import (
     PathBatch,
     RngStream,
@@ -71,7 +69,6 @@ __all__ = [
     "FactorChain",
     "GraphFormatError",
     "InputRefusedError",
-    "LaplacianView",
     "MonomialApprox",
     "PathBatch",
     "PolyCoeffs",
@@ -89,7 +86,6 @@ __all__ = [
     "dense_poly",
     "enumerate_paths",
     "er_oracle_build",
-    "er_query",
     "estimate_er",
     "exact_er",
     "exact_er_matrix",
@@ -116,6 +112,5 @@ __all__ = [
     "sparsify_sddm",
     "support_check",
     "total_enumerated_mass",
-    "validate_poly_laplacian",
     "__version__",
 ]

@@ -46,15 +46,16 @@ def _alpha_arg(text):
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _common(parser, needs_output=True):
+def _common(parser, needs_output=True, graph_input=True):
     parser.add_argument("-i", "--input", required=True, help="input graph/matrix file")
     if needs_output:
         parser.add_argument("-o", "--output", required=True, help="output path")
     parser.add_argument("--eps", type=float, default=0.5, help="error budget epsilon")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     parser.add_argument("--cs", type=float, default=4.0, help="oversampling constant c_s")
-    parser.add_argument("--format", choices=["matrix-market", "edge-list"], default=None,
-                        help="input format (sniffed when omitted)")
+    if graph_input:  # SDDM inputs are Matrix Market only
+        parser.add_argument("--format", choices=["matrix-market", "edge-list"], default=None,
+                            help="input format (sniffed when omitted)")
     parser.add_argument("--no-second-stage", action="store_true",
                         help="skip the resistance-based second sparsification stage")
 
@@ -81,16 +82,16 @@ def build_parser():
     hd.add_argument("--degree", "-d", type=int, required=True)
 
     sd = sub.add_parser("sparsify-sddm", help="sparsify an SDDM walk polynomial")
-    _common(sd)
+    _common(sd, graph_input=False)
     sd.add_argument("--alpha", required=True, type=_alpha_arg)
 
     iv = sub.add_parser("inv-sqrt", help="inverse square-root factor chain")
-    _common(iv)
+    _common(iv, graph_input=False)
     iv.add_argument("--max-iters", type=int, default=40)
     iv.add_argument("--dense", action="store_true", help="exact dense steps (no sparsification)")
 
     qr = sub.add_parser("qth-root", help="q-th root reduction step")
-    _common(qr)
+    _common(qr, graph_input=False)
     qr.add_argument("--q", type=int, required=True)
 
     rs = sub.add_parser("resistance", help="effective-resistance oracle queries")

@@ -21,8 +21,8 @@ from .errors import GraphFormatError, ValidationError
 log = logging.getLogger(__name__)
 
 DEGREE_RTOL = 1e-12
-# Largest n handled by dense methods: the oracle and dense validation. Effective
-# resistances are exact up to n = max(DENSE_THRESHOLD, JL sketch width).
+# Largest n handled by the dense oracle. Effective resistances are exact up
+# to n = max(DENSE_THRESHOLD, JL sketch width).
 DENSE_THRESHOLD = 512
 
 
@@ -153,35 +153,6 @@ class WeightedGraph:
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={self.m})"
-
-
-class LaplacianView:
-    """Read-only Laplacian of a WeightedGraph: quadratic form and mat-vec."""
-
-    def __init__(self, graph: WeightedGraph):
-        self.graph = graph
-
-    def matvec(self, x):
-        return laplacian_matvec(self.graph, x)
-
-    def quadratic_form(self, x):
-        """Edge-wise sum of (x_u - x_v)^2 w_uv."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.graph.n,):
-            raise ValidationError(f"expected vector of length {self.graph.n}")
-        d = x[self.graph.edge_u] - x[self.graph.edge_v]
-        return float(np.dot(d * d, self.graph.edge_w))
-
-    def matrix(self):
-        return self.graph.laplacian()
-
-
-def laplacian_matvec(G: WeightedGraph, x):
-    """(D - A)x. Always satisfies 1^T (D - A) x = 0."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (G.n,):
-        raise ValidationError(f"expected vector of length {G.n}, got {x.shape}")
-    return G.degree * x - G.adjacency @ x
 
 
 @dataclass(frozen=True)
@@ -431,14 +402,14 @@ def _write_rows(fh, u, v, w):
 
 def save_graph(G: WeightedGraph, path, fmt="matrix-market"):
     """Write edges sorted by (u, v); weights keep 17 significant digits."""
+    if fmt not in ("matrix-market", "edge-list"):
+        raise ValueError(f"unknown format {fmt!r}")
     with open(path, "w") as fh:
         if fmt == "matrix-market":
             fh.write(f"{_MM_HEADER}{G.n} {G.n} {G.m}\n")
             _write_rows(fh, G.edge_u + 1, G.edge_v + 1, G.edge_w)
-        elif fmt == "edge-list":
-            _write_rows(fh, G.edge_u, G.edge_v, G.edge_w)
         else:
-            raise ValueError(f"unknown format {fmt!r}")
+            _write_rows(fh, G.edge_u, G.edge_v, G.edge_w)
 
 
 def load_sddm(path):
@@ -459,20 +430,3 @@ def save_sddm(M: SddmMatrix, path):
         fh.write(f"{_MM_HEADER}{M.n} {M.n} {M.n + G.m}\n")
         _write_rows(fh, idx, idx, M.diag)
         _write_rows(fh, G.edge_u + 1, G.edge_v + 1, -G.edge_w)
-
-
-def validate_poly_laplacian(G: WeightedGraph, alpha: PolyCoeffs, threshold=DENSE_THRESHOLD):
-    """Dense check that L_alpha(G) is a Laplacian: symmetric, nonpositive
-    off-diagonals, row sums within 1e-9 * D(i,i) of zero."""
-    if G.n > threshold:
-        raise ValidationError(f"dense validation limited to n <= {threshold}")
-    from .oracle import dense_poly
-
-    L = dense_poly(G, alpha)
-    if not np.allclose(L, L.T, atol=1e-12 * max(1.0, np.abs(L).max())):
-        return False
-    off = L - np.diag(np.diag(L))
-    if np.any(off > 1e-12 * max(1.0, np.abs(L).max())):
-        return False
-    rows = L.sum(axis=1)
-    return bool(np.all(np.abs(rows) <= 1e-9 * np.maximum(G.degree, 1e-300)))

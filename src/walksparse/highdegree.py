@@ -3,9 +3,9 @@ operation scheduling, and the high-degree driver.
 
 Starting from a degree-2 sparsifier D - A~, SQUARE doubles the walk degree
 via the length-2 paths of D - A~ D^-1 A~, and PLUS adds 4 via the length-5
-pattern (A A A~ A A). Each step computes its product exactly when the
-sparse-product chain costs at most the walks it would draw, and otherwise
-samples the pattern with the heterogeneous template sampler. Per-step error
+pattern (A A A~ A A). Each step is one sparsify.stage_one over its
+layers: the product exactly when the sparse-product chain costs at most
+the walks it would draw, otherwise walks of the whole pattern. Per-step error
 budgets follow the eps/(2k) composition rule with a final
 re-sparsification at eps/2.
 """
@@ -23,8 +23,9 @@ import scipy.sparse as sp
 from . import sparsify
 from .errors import InputRefusedError, ValidationError
 from .graph import WeightedGraph
-from .sampling import RngStream, build_template, graph_sampling, sample_template_paths, substream, template_mass
-from .sparsify import SparsifyConfig, _log_n, sparsify_monomial
+from .sampling import RngStream, substream
+from .sampling import build_template, graph_sampling, sample_template_paths  # noqa: F401 (bench/tracing.py wraps these names here)
+from .sparsify import SparsifyConfig, sparsify_monomial
 
 log = logging.getLogger(__name__)
 
@@ -122,22 +123,14 @@ def _clamp_degree_excess(approx: MonomialApprox) -> MonomialApprox:
     return MonomialApprox(approx.degree, scaled, D, approx.accumulated_eps + extra)
 
 
-def _template_sparsify(layers, coeffs, D, eps, cfg: SparsifyConfig, rng, n):
-    """Stage one of a template at its sample budget M, then re-sparsify.
+def _template_sparsify(layers, coeffs, D, eps, cfg: SparsifyConfig, rng):
+    """Stage one of the full template L_1 D^-1 L_2 ... D^-1 L_r, then re-sparsify.
 
-    layers are CSR matrices. The product L_1 D^-1 L_2 ... D^-1 L_r is computed
-    exactly when that costs at most M multiply-adds; otherwise the template's
-    tables are built and M walks drawn. The coefficients shape the sampling
-    masses alone, so the exact route ignores them.
+    layers are CSR matrices. The coefficients shape the sampling masses
+    alone, so the exact route ignores them.
     """
     local = replace(cfg, epsilon=eps)
-    tau = template_mass(layers, coeffs, D)
-    M = int(math.ceil(cfg.oversample * _log_n(n) / local.eps_stage_one**2 * tau))
-    H = sparsify.exact_walk_graph(layers, D, M)
-    if H is None:
-        tmpl = build_template(layers, coeffs, D)
-        draw = lambda count, gen: sample_template_paths(tmpl, count, gen)
-        H = graph_sampling(draw, tmpl.tau_total, M, rng, n)
+    H = sparsify.stage_one(layers, coeffs, np.eye(len(layers))[-1], D, local.eps_stage_one, cfg, rng)
     if local.second_stage:
         from .resistance import resparsify
 
@@ -164,7 +157,7 @@ def square_step(cur: MonomialApprox, eps, cfg: SparsifyConfig, rng) -> MonomialA
     s = np.asarray(At.sum(axis=1)).ravel()
     live = s > 0
     kappa = max(1.0, float(np.max(D[live] / s[live])))
-    H = _template_sparsify([At, At], [kappa, kappa], D, eps, cfg, rng, cur.graph.n)
+    H = _template_sparsify([At, At], [kappa, kappa], D, eps, cfg, rng)
     out = MonomialApprox(2 * cur.degree, H, D, cur.accumulated_eps + eps)
     return _clamp_degree_excess(out)
 
@@ -180,7 +173,7 @@ def plus_step(cur: MonomialApprox, base: WeightedGraph, eps, cfg: SparsifyConfig
     h = math.exp(cur.accumulated_eps)
     coeffs = [h, h, h * h, h, h]
     A = base.adjacency
-    H = _template_sparsify([A, A, At, A, A], coeffs, D, eps, cfg, rng, cur.graph.n)
+    H = _template_sparsify([A, A, At, A, A], coeffs, D, eps, cfg, rng)
     out = MonomialApprox(cur.degree + 4, H, D, cur.accumulated_eps + eps)
     return _clamp_degree_excess(out)
 

@@ -244,6 +244,3 @@ def er_oracle_build(
         state = _sketch_potentials(H, delta / 2, sub)
     return ErOracle(H, eps, delta, method, state)
 
-
-def er_query(oracle: ErOracle, u, v):
-    return oracle.query(u, v)

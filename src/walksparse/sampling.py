@@ -7,12 +7,13 @@ tau_p = w(p) Z(p) by choosing a pivot step (position and directed edge)
 from masses built from absorption vectors, then stepping outward from its
 endpoints with per-step distributions reweighted by the same vectors.
 
-The length-r walk sampler is the monomial template [A]*r with coefficient
-2 per position. Under D = A 1 every absorption vector is exactly one, the
-pivot edge is uniform, and the masses use the direction-identified
-convention in which the total over length-r walks is exactly 2 r m. A
-larger D, such as an SDDM diagonal, gives absorption vectors at most one
-and a total below 2 r m.
+A stage samples the prefixes of one layer list: SamplerIndex shares row
+tables across them, and template_mass gives each prefix's total mass
+without building tables. For the monomial layers [A]*r with coefficient 2
+under D = A 1 every absorption vector is exactly one, the pivot edge is
+uniform, and the total over length-r walks is exactly 2 r m. A larger D,
+such as an SDDM diagonal, gives absorption vectors at most one and a total
+below 2 r m.
 """
 
 from __future__ import annotations
@@ -121,13 +122,6 @@ class PathBatch:
         return len(self.u0)
 
 
-def total_mass(r, m):
-    """Closed-form sum of w(p) Z(p) over all length-r walks."""
-    if r < 1 or m < 1:
-        raise ValidationError("r and m must be >= 1")
-    return 2.0 * r * m
-
-
 @dataclass
 class WalkTemplate:
     """Ordered edge layers with per-position resistance coefficients.
@@ -205,11 +199,10 @@ def _assemble(mats, coeffs, D, left, right, tables) -> WalkTemplate:
 
 def _absorption(layers, coeffs, D):
     """Validated CSR layers, coefficients and D, with the absorption vectors."""
-    csr = {}  # one matrix per distinct layer, so positions can share its tables
-    mats = [
-        csr.setdefault(id(x), x.adjacency if isinstance(x, WeightedGraph) else sp.csr_matrix(x))
-        for x in layers
-    ]
+    # layers are WeightedGraphs or sparse matrices; a CSR layer is used as is, so
+    # equal layers keep one identity across positions and prefixes and share tables
+    csr = {}
+    mats = [csr.setdefault(id(x), x.adjacency if isinstance(x, WeightedGraph) else x.tocsr()) for x in layers]
     r = len(mats)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
@@ -303,38 +296,34 @@ def sample_template_paths(tmpl: WalkTemplate, count, rng, record_vertices=False)
 
 
 class SamplerIndex:
-    """Shared row tables of one graph for its length-r monomial templates.
+    """Shared row tables for the prefix templates of one layer list.
 
-    Template r is [A]*r with coefficient 2 per position under the degree
-    normalization D (default A 1). Tables are shared across positions and
-    walk lengths wherever the absorption vectors agree; with D = A 1 they
-    are all exactly one, so one uniform pivot table and one step table over
-    A serve every template.
+    Template j walks layers[:j] with coeffs[:j] under D. Tables are shared
+    across positions and prefixes wherever the absorption vectors agree;
+    for [A]*d with coefficient 2 and D = A 1 they are all exactly one, so
+    one uniform pivot table and one step table over A serve every prefix.
     """
 
-    def __init__(self, G: WeightedGraph, D=None):
-        if G.m < 1:
-            raise ValidationError("cannot build a sampler over an empty graph")
-        self.graph = G
-        self.D = G.degree if D is None else D
+    def __init__(self, layers, coeffs, D):
+        self.layers = layers
+        self.coeffs = np.asarray(coeffs, dtype=np.float64)
+        self.D = D
         self._tables = {}
         self._templates = {}
 
-    def template(self, r) -> WalkTemplate:
-        """The monomial template [A]*r with coefficient 2 per position."""
-        if r not in self._templates:
-            self._templates[r] = _assemble(*_absorption([self.graph] * r, np.full(r, 2.0), self.D), self._tables)
-        return self._templates[r]
+    def template(self, j) -> WalkTemplate:
+        """The template over layers[:j]."""
+        if not 1 <= j <= len(self.layers):
+            raise ValidationError(f"prefix length must lie in 1..{len(self.layers)}")
+        if j not in self._templates:
+            self._templates[j] = _assemble(*_absorption(self.layers[:j], self.coeffs[:j], self.D), self._tables)
+        return self._templates[j]
 
 
-def sample_paths(idx: SamplerIndex, r, count, rng, record_vertices=False):
-    """Draw `count` length-r walks, each with probability tau_p / tau_total.
-
-    tau_total is idx.template(r).tau_total, which is 2 r m under D = A 1.
-    """
-    if r < 1:
-        raise ValidationError("walk length must be >= 1")
-    return sample_template_paths(idx.template(r), count, rng, record_vertices=record_vertices)
+def sample_paths(idx: SamplerIndex, j, count, rng, record_vertices=False):
+    """Draw `count` walks through idx.layers[:j], each with probability
+    tau_p / idx.template(j).tau_total."""
+    return sample_template_paths(idx.template(j), count, rng, record_vertices=record_vertices)
 
 
 def graph_sampling(draw, tau_total, M, rng, n):

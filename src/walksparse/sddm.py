@@ -2,7 +2,8 @@
 
 M_alpha = D - sum_r alpha_r D (D^-1 A)^r is the graph polynomial L_alpha
 with the SDDM diagonal D in place of A 1, so its off-diagonal part is
-sparsified by sparsify.walk_graph with walks normalized by D. The excess
+sparsified by sparsify.walk_graph with walks normalized by D; the sample
+count follows their D-normalised mass, which shrinks as D grows. The excess
 diagonal of the polynomial is computed exactly by sparse matrix-vector
 products and returned alongside the sparsified graph.
 """

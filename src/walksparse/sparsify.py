@@ -1,14 +1,17 @@
 """Sparsification of random-walk matrix polynomials by path sampling.
 
-walk_graph sparsifies the off-diagonal sum_r alpha_r A (D^-1 A)^{r-1} of a
-walk polynomial: D = A 1 gives L_alpha(G), an SDDM diagonal the SDDM
-extension. Stage one computes it exactly, by a chain of sparse products,
-when that chain costs at most the M multiply-adds the stage would spend on
-its M walks (exact_walk_graph); otherwise it draws M walks with masses
-tau_p = alpha_r w(p) Z(p) (lengths picked proportionally to alpha_r times
-their total mass, so the estimator is unbiased) and aggregates the endpoint
-edges. Stage two re-sparsifies the explicit result down to the n log n
-budget using solver-estimated effective resistances.
+stage_one sparsifies sum_j alpha_j L_1 D^-1 L_2 ... D^-1 L_j, the alpha-
+mixture of the prefixes of one layer list, for graphs and SDDM matrices
+(walk_graph: layers [A]*d, the off-diagonal sum_r alpha_r A (D^-1 A)^{r-1},
+with D = A 1 for L_alpha(G) and the SDDM diagonal for the SDDM extension)
+and for the high-degree composition steps. Its sample count M is c_s ln n /
+eps^2 times the D-normalised walk mass sum_j alpha_j tau(j). It computes
+the stage exactly, by a chain of sparse products, when that chain costs at
+most M multiply-adds (exact_walk_graph); otherwise it draws M walks with
+masses tau_p = w(p) Z(p) (prefixes picked proportionally to alpha_j tau(j),
+so the estimator is unbiased) and aggregates the endpoint edges. Stage two
+re-sparsifies the explicit result down to the n log n budget using
+solver-estimated effective resistances.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import InputRefusedError, ValidationError
 from .graph import PolyCoeffs, WeightedGraph
-from .sampling import PathBatch, SamplerIndex, graph_sampling, sample_paths, substream, total_mass
+from .sampling import PathBatch, SamplerIndex, graph_sampling, sample_paths, substream, template_mass
 
 log = logging.getLogger(__name__)
 
@@ -63,29 +66,23 @@ def _log_n(n):
     return max(math.log(n), math.log(2))
 
 
-def stage_one_edge_budget(alpha: PolyCoeffs, m, n, cfg: SparsifyConfig):
-    """Sample count M = ceil(c_s ln n / eps1^2 * sum_r alpha_r 2 r m)."""
-    tau = sum(a * total_mass(r, m) for r, a in enumerate(alpha.alpha, start=1) if a > 0)
-    return int(math.ceil(cfg.oversample * _log_n(n) / cfg.eps_stage_one**2 * tau))
-
-
 def stage_two_edge_budget(n, eps, cfg: SparsifyConfig):
     return int(math.ceil(cfg.oversample * n * _log_n(n) / eps**2))
 
 
-def exact_walk_graph(layers, D, M, alpha=None):
+def exact_walk_graph(layers, D, M, alpha):
     """Off-diagonal of P = sum_j alpha_j L_1 D^-1 L_2 ... D^-1 L_j, or None.
 
-    layers are CSR matrices; alpha defaults to the full product alone. The
-    prefix chain X_j = X_{j-1} D^-1 L_j is formed one product at a time, each
-    costing sum_k nnz(X[:, k]) nnz(L_j[k, :]) multiply-adds. Once their
+    layers are CSR matrices. The prefix chain X_j = X_{j-1} D^-1 L_j is
+    formed one product at a time, each costing
+    sum_k nnz(X[:, k]) nnz(L_j[k, :]) multiply-adds. Once their
     running total exceeds M, the number of walks the stage would draw, None
     is returned and the stage samples instead; up to M the chain is faster
     than the walks and holds no more entries than their accumulator. The
     result is the strictly upper triangle of (P + P^T) / 2, the graph whose
     expectation graph_sampling estimates.
     """
-    weights = np.eye(len(layers))[-1] if alpha is None else np.asarray(alpha, dtype=np.float64)
+    weights = np.asarray(alpha, dtype=np.float64)
     layers = layers[: np.flatnonzero(weights)[-1] + 1]
     n = len(D)
     X = layers[0]
@@ -105,24 +102,37 @@ def exact_walk_graph(layers, D, M, alpha=None):
     return WeightedGraph(n, P.row[keep], P.col[keep], 0.5 * P.data[keep])
 
 
-def _mixture_draw(idx: SamplerIndex, alpha: PolyCoeffs):
-    """Draw callable mixing walk lengths proportionally to alpha_r tau_total(r)."""
-    lengths = np.array([r for r, a in enumerate(alpha.alpha, start=1) if a > 0])
-    weights = np.array([alpha.alpha[r - 1] * idx.template(r).tau_total for r in lengths])
+def stage_one(layers, coeffs, alpha, D, eps, cfg: SparsifyConfig, rng) -> WeightedGraph:
+    """Stage one of sum_j alpha_j L_1 D^-1 L_2 ... D^-1 L_j at eps.
+
+    M = ceil(c_s ln n / eps^2 * sum_j alpha_j tau(j)), with tau(j) the total
+    mass of the walks through layers[:j] under coeffs[:j] and D. The stage
+    is exact when exact_walk_graph allows it; otherwise M walks are drawn,
+    their prefix picked proportionally to alpha_j tau(j).
+    """
+    n = len(D)
+    prefixes = [j for j, a in enumerate(alpha, start=1) if a > 0]
+    tau = sum(alpha[j - 1] * template_mass(layers[:j], coeffs[:j], D) for j in prefixes)
+    M = int(math.ceil(cfg.oversample * _log_n(n) / eps**2 * tau))
+    H = exact_walk_graph(layers, D, M, alpha)
+    if H is not None:
+        return H
+    idx = SamplerIndex(layers, coeffs, D)
+    weights = np.array([alpha[j - 1] * idx.template(j).tau_total for j in prefixes])
     probs = weights / weights.sum()
 
     def draw(count, gen):
-        # alpha_r scales both the target weight and the sampling mass of a
-        # length-r walk, so it cancels in graph_sampling and is left out
+        # alpha_j scales both the target weight and the sampling mass of a
+        # walk through layers[:j], so it cancels in graph_sampling
         batches = [
-            sample_paths(idx, int(r), int(c), gen)
-            for r, c in zip(lengths, gen.multinomial(count, probs))
+            sample_paths(idx, j, int(c), gen)
+            for j, c in zip(prefixes, gen.multinomial(count, probs))
             if c > 0
         ]
         cols = zip(*((b.u0, b.ur, b.weight, b.mass) for b in batches))
         return PathBatch(*(np.concatenate(col) for col in cols))
 
-    return draw, float(weights.sum())
+    return graph_sampling(draw, float(weights.sum()), M, rng, n)
 
 
 def _split_components(G: WeightedGraph):
@@ -161,12 +171,8 @@ def walk_graph(G: WeightedGraph, D, alpha: PolyCoeffs, cfg: SparsifyConfig, rng)
         ]
         return _join_components(G.n, parts)
 
-    # the 2 r m budget bounds the sampler's total mass, which only shrinks as D grows past A 1
-    M = stage_one_edge_budget(alpha, G.m, G.n, cfg)
-    H = exact_walk_graph([G.adjacency] * alpha.d, D, M, alpha.alpha)
-    if H is None:
-        draw, tau = _mixture_draw(SamplerIndex(G, D), alpha)
-        H = graph_sampling(draw, tau, M, rng, G.n)
+    layers = [G.adjacency] * alpha.d
+    H = stage_one(layers, np.full(alpha.d, 2.0), alpha.alpha, D, cfg.eps_stage_one, cfg, rng)
     if cfg.second_stage:
         from .resistance import resparsify
 

@@ -76,7 +76,7 @@ def test_criterion_01_walk_mass_identity():
 def test_criterion_02_sampler_distribution():
     t0 = time.perf_counter()
     G = ring_graph(4)
-    idx = SamplerIndex(G)
+    idx = SamplerIndex([G.adjacency] * 3, [2.0, 2.0, 2.0], G.degree)
     masses = canonical_path_masses(enumerate_paths(G, 3))
     total = 2.0 * 3 * G.m
     keys = sorted(masses)

@@ -148,6 +148,16 @@ class TestOutputs:
         manifest = (tmp_path / "qr.mtx.manifest").read_text()
         assert "middle_alpha=" in manifest
 
+    @pytest.mark.parametrize("cmd, extra", [
+        ("sparsify-sddm", ["--alpha", "1"]), ("inv-sqrt", []), ("qth-root", ["--q", "2"])],
+        ids=["sparsify-sddm", "inv-sqrt", "qth-root"])
+    def test_sddm_commands_take_no_format(self, sddm_file, tmp_path, cmd, extra):
+        # SDDM inputs are Matrix Market only, so --format is a usage error
+        out = tmp_path / "out"
+        code = main([cmd, "-i", sddm_file, "--format", "edge-list", "-o", str(out), *extra])
+        assert code == 2
+        assert not out.exists()
+
     def test_inv_sqrt_chain_files(self, sddm_file, tmp_path):
         out = str(tmp_path / "chain")
         assert main(["inv-sqrt", "-i", sddm_file, "--eps", "0.4", "--seed", "1",

@@ -8,7 +8,6 @@ import pytest
 
 from walksparse import (
     GraphFormatError,
-    LaplacianView,
     PolyCoeffs,
     SddmMatrix,
     ValidationError,
@@ -17,7 +16,6 @@ from walksparse import (
     load_sddm,
     save_graph,
     save_sddm,
-    validate_poly_laplacian,
 )
 from walksparse import graph
 
@@ -82,31 +80,10 @@ class TestWeightedGraph:
         assert WeightedGraph.from_edges(2, []).is_bipartite()
         assert WeightedGraph.from_edges(1, []).is_bipartite()
 
-
-class TestLaplacianView:
-    def test_quadratic_form_identity(self):
-        G = er_graph(20, 0.3, 2, weighted=True)
-        view = LaplacianView(G)
-        gen = np.random.default_rng(0)
-        for _ in range(5):
-            x = gen.standard_normal(G.n)
-            direct = sum(
-                w * (x[u] - x[v]) ** 2
-                for u, v, w in zip(G.edge_u, G.edge_v, G.edge_w)
-            )
-            assert view.quadratic_form(x) == pytest.approx(direct, rel=1e-10)
-            assert view.quadratic_form(x) >= 0
-
     def test_zero_row_sums(self):
         G = er_graph(20, 0.3, 3)
         L = G.laplacian_dense()
         assert np.max(np.abs(L.sum(axis=1))) < 1e-9
-
-    def test_matvec_matches_dense(self):
-        G = er_graph(15, 0.4, 4, weighted=True)
-        view = LaplacianView(G)
-        x = np.random.default_rng(1).standard_normal(G.n)
-        np.testing.assert_allclose(view.matvec(x), G.laplacian_dense() @ x, rtol=1e-12)
 
 
 class TestPolyCoeffs:
@@ -194,6 +171,14 @@ class TestFileIO:
             p = tmp_path / f"g-{fmt}"
             save_graph(G, p, fmt=fmt)
             assert load_graph(p) == G
+
+    def test_unknown_format_keeps_existing_file(self, tmp_path):
+        p = tmp_path / "keep.mtx"
+        save_graph(path_graph([1.0, 2.0]), p)
+        before = p.read_bytes()
+        with pytest.raises(ValueError, match="unknown format"):
+            save_graph(path_graph([3.0]), p, fmt="edgelist")
+        assert p.read_bytes() == before
 
     def test_edge_list_comments_and_labels(self, tmp_path):
         p = tmp_path / "g.txt"
@@ -379,10 +364,15 @@ class TestFileLayer:
 
 class TestPolyLaplacianPreservation:
     def test_row_sums_vanish_for_random_inputs(self):
+        from walksparse import dense_poly
+
         for seed in range(5):
             G = er_graph(20, 0.3, 40 + seed, weighted=True)
-            alpha = PolyCoeffs(np.array([0.2, 0.5, 0.3]))
-            validate_poly_laplacian(G, alpha)
+            L = dense_poly(G, PolyCoeffs(np.array([0.2, 0.5, 0.3])))
+            scale = max(1.0, np.abs(L).max())
+            assert np.allclose(L, L.T, atol=1e-12 * scale)
+            assert np.max(L - np.diag(np.diag(L))) <= 1e-12 * scale
+            assert np.all(np.abs(L.sum(axis=1)) <= 1e-9 * G.degree)
 
     def test_offdiagonals_nonpositive(self):
         from walksparse import dense_poly

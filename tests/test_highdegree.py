@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 
@@ -167,6 +168,15 @@ class TestDriver:
         for name in ("a.mtx", "b.mtx"):
             save_graph(sparsify_high_degree(G, 12, 0.75, cfg, RngStream(6)), tmp_path / name)
         assert (tmp_path / "a.mtx").read_bytes() == (tmp_path / "b.mtx").read_bytes()
+
+    @pytest.mark.usefixtures("sampled")
+    def test_sampled_bytes_pinned(self, tmp_path):
+        # the sampled PLUS and SQUARE steps' output bytes for this seed are fixed
+        G = er_graph(40, 0.2, 5)
+        cfg = SparsifyConfig(epsilon=0.75, oversample=0.3)
+        save_graph(sparsify_high_degree(G, 12, 0.75, cfg, RngStream(3)), tmp_path / "h.mtx")
+        digest = hashlib.sha256((tmp_path / "h.mtx").read_bytes()).hexdigest()
+        assert digest == "4c0ce82a51f44c4592b9d066dd495d32a6b54f074e2c961310f28338873f8e21"
 
     def test_bipartite_refused(self):
         ring6 = ring_graph(6)

@@ -12,7 +12,6 @@ from walksparse import (
     WeightedGraph,
     dense_poly,
     er_oracle_build,
-    er_query,
     estimate_er,
     exact_er,
     exact_er_matrix,
@@ -134,7 +133,7 @@ class TestErOracle:
         L = triangle.laplacian_dense()
         for u, v in [(0, 1), (0, 2), (1, 2)]:
             truth = exact_er(L, u, v)
-            got = er_query(oracle, u, v)
+            got = oracle.query(u, v)
             assert truth / factor <= got <= truth * factor
 
     def test_medium_graph_queries(self):

@@ -14,9 +14,14 @@ from walksparse import (
     sample_template_paths,
 )
 from walksparse.oracle import canonical_path_masses, enumerate_paths
-from walksparse.sampling import _RowTable, total_mass
+from walksparse.sampling import _RowTable, template_mass
 
 from conftest import er_graph, random_sddm, ring_graph
+
+
+def monomial_index(G, r, D=None):
+    """Index over the monomial layers [A]*r, coefficient 2, D = A 1 by default."""
+    return SamplerIndex([G] * r, [2.0] * r, G.degree if D is None else D)
 
 
 class TestRngStream:
@@ -39,7 +44,7 @@ class TestSamplerIndex:
     def test_uniform_edge_distribution(self):
         # a length-1 walk is its pivot edge, drawn from the uniform pivot table
         G = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 5.0), (2, 3, 0.1)])
-        batch = sample_paths(SamplerIndex(G), 1, 30000, np.random.default_rng(0))
+        batch = sample_paths(monomial_index(G, 1), 1, 30000, np.random.default_rng(0))
         a, b = batch.u0, batch.ur
         # edges uniform regardless of weight; orientations both present
         lo = np.minimum(a, b)
@@ -72,7 +77,7 @@ class TestSamplerIndex:
 
 class TestSamplePaths:
     def test_single_edge_r2_always_closed(self, single_edge):
-        idx = SamplerIndex(single_edge)
+        idx = monomial_index(single_edge, 2)
         batch = sample_paths(idx, 2, 500, RngStream(0))
         assert np.all(batch.u0 == batch.ur)
         np.testing.assert_allclose(batch.mass, 4.0)
@@ -81,7 +86,7 @@ class TestSamplePaths:
     def test_isolated_vertex_absorbs_nothing(self):
         # D = 0 at an isolated vertex; its absorption is never read
         G = WeightedGraph.from_edges(3, [(0, 1, 1.0)])
-        batch = sample_paths(SamplerIndex(G), 3, 100, RngStream(0))
+        batch = sample_paths(monomial_index(G, 3), 3, 100, RngStream(0))
         assert np.all(batch.u0 != batch.ur)
         np.testing.assert_allclose(batch.mass, 6.0)
 
@@ -89,7 +94,7 @@ class TestSamplePaths:
         # D = A 1 / aux divides weight and mass by D, so each gains the
         # product of aux over the interior vertices
         aux = np.array([0.5, 0.9, 0.25])
-        idx = SamplerIndex(triangle, triangle.degree / aux)
+        idx = monomial_index(triangle, 3, triangle.degree / aux)
         batch = sample_paths(idx, 3, 200, RngStream(1), record_vertices=True)
         lookup = {p.vertices: p for p in enumerate_paths(triangle, 3)}
         for i in range(len(batch)):
@@ -101,7 +106,7 @@ class TestSamplePaths:
 
     def test_distribution_matches_tau(self, triangle):
         # canonical open walks appear with probability tau_p / (2 r m)
-        idx = SamplerIndex(triangle)
+        idx = monomial_index(triangle, 2)
         n_draw = 60000
         batch = sample_paths(idx, 2, n_draw, RngStream(2), record_vertices=True)
         masses = canonical_path_masses(enumerate_paths(triangle, 2))
@@ -118,7 +123,7 @@ class TestSamplePaths:
 
     def test_long_walk_log_space_finite(self):
         G = er_graph(20, 0.3, 3, weighted=True)
-        idx = SamplerIndex(G)
+        idx = monomial_index(G, 80)
         batch = sample_paths(idx, 80, 100, RngStream(4))
         assert np.all(np.isfinite(batch.weight))
         assert np.all(batch.weight > 0)
@@ -126,7 +131,9 @@ class TestSamplePaths:
 
     def test_invalid_length(self, triangle):
         with pytest.raises(ValidationError):
-            sample_paths(SamplerIndex(triangle), 0, 10, RngStream(0))
+            sample_paths(monomial_index(triangle, 2), 0, 10, RngStream(0))
+        with pytest.raises(ValidationError):
+            sample_paths(monomial_index(triangle, 2), 3, 10, RngStream(0))
 
 
 class TestGraphSampling:
@@ -134,37 +141,45 @@ class TestGraphSampling:
         # E[L_H] = L_{G_2}; check edge weights converge to the dense truth
         from walksparse import dense_monomial
 
-        idx = SamplerIndex(triangle)
+        idx = monomial_index(triangle, 2)
         draw = lambda count, gen: sample_paths(idx, 2, count, gen)
-        tau = total_mass(2, triangle.m)
+        tau = 2.0 * 2 * triangle.m
         H = graph_sampling(draw, tau, 400000, RngStream(6), 3)
         target = dense_monomial(triangle, 2)
         for u, v, w in zip(H.edge_u, H.edge_v, H.edge_w):
             assert w == pytest.approx(-target[u, v], rel=0.05)
 
-    def test_sddm_mixture_unbiased(self):
+    def test_sddm_mixture_unbiased(self, sampled, monkeypatch):
         # walks normalized by the SDDM diagonal estimate M_alpha's off-diagonal
-        from walksparse import dense_poly
-        from walksparse.sparsify import _mixture_draw
+        from walksparse import SparsifyConfig, dense_poly, sparsify
 
         M = random_sddm(10, 0.4, 9)
         alpha = PolyCoeffs.parse("0.5,0.3,0.2")
-        draw, tau = _mixture_draw(SamplerIndex(M.offdiag, M.diag), alpha)
-        assert tau < sum(a * total_mass(r, M.offdiag.m) for r, a in enumerate(alpha.alpha, start=1))
-        H = graph_sampling(draw, tau, 400000, RngStream(9), M.n)
+        layers = [M.offdiag.adjacency] * 3
+        seen = {}
+
+        def spy(draw, tau, count, rng, n):
+            seen.update(tau=tau, count=count)
+            return graph_sampling(draw, tau, count, rng, n)
+
+        monkeypatch.setattr(sparsify, "graph_sampling", spy)
+        cfg = SparsifyConfig(epsilon=1.0, oversample=3502.0, second_stage=False)  # M just above 400,000
+        H = sparsify.stage_one(layers, [2.0] * 3, alpha.alpha, M.diag, 1.0, cfg, RngStream(9))
+        # the mixture's total is the D-normalised mass, below the 2 r m sum of D = A 1
+        tau = sum(a * template_mass(layers[:r], [2.0] * r, M.diag) for r, a in enumerate(alpha.alpha, start=1))
+        assert seen["tau"] == pytest.approx(tau, rel=1e-12)
+        assert tau < sum(a * 2.0 * r * M.offdiag.m for r, a in enumerate(alpha.alpha, start=1))
+        assert seen["count"] >= 400000
         target = -dense_poly(M, alpha)
         off = ~np.eye(M.n, dtype=bool)
         np.testing.assert_allclose(H.adjacency_dense()[off], target[off], rtol=0.05, atol=0.01 * target[off].max())
-
-    def test_total_mass_formula(self):
-        assert total_mass(3, 7) == 42.0
 
 
 class TestWalkTemplates:
     def test_homogeneous_template_matches_direct(self, triangle):
         # layers (A, A) with coefficient 2 reproduce the plain Z = 2/w bound
         t = build_template([triangle, triangle], [2.0, 2.0], triangle.degree)
-        assert t.tau_total == pytest.approx(total_mass(2, triangle.m))
+        assert t.tau_total == pytest.approx(2.0 * 2 * triangle.m)
         batch = sample_template_paths(t, 5000, RngStream(7), record_vertices=True)
         lookup = {p.vertices: p for p in enumerate_paths(triangle, 2)}
         for i in range(200):

@@ -15,9 +15,11 @@ from walksparse import (
     dense_poly,
     extra_diagonal,
     similarity_check,
+    sparsify,
     sparsify_sddm,
 )
 from walksparse.oracle import generalized_eigenvalues
+from walksparse.sampling import template_mass
 
 from conftest import er_graph, random_sddm
 
@@ -136,6 +138,31 @@ class TestSparsifySddm:
         vals, mismatch = generalized_eigenvalues(res.dense(), dense)
         assert not mismatch
         assert vals.min() >= 0.5 and vals.max() <= 1.5
+
+
+    @pytest.mark.usefixtures("sampled")
+    def test_sampled_budget_is_d_normalised_mass(self, monkeypatch):
+        # M = ceil(c_s ln n / eps1^2 sum_r alpha_r tau_r(D)): with D = 3 A 1 the
+        # walks lose mass at every interior vertex, far below sum_r alpha_r 2 r m
+        G = er_graph(25, 0.3, 14)
+        M = SddmMatrix(G.degree * 3.0, G)
+        alpha = PolyCoeffs.parse("0,0.75,0.25")
+        cfg = SparsifyConfig(epsilon=0.5)
+        counts = []
+        real = sparsify.graph_sampling
+
+        def spy(draw, tau, count, rng, n):
+            counts.append(count)
+            return real(draw, tau, count, rng, n)
+
+        monkeypatch.setattr(sparsify, "graph_sampling", spy)
+        sparsify_sddm(M, alpha, cfg, RngStream(4))
+        scale = cfg.oversample * math.log(M.n) / cfg.eps_stage_one**2
+        layers = [G.adjacency] * 3
+        tau = sum(a * template_mass(layers[:r], [2.0] * r, M.diag) for r, a in enumerate(alpha.alpha, start=1) if a > 0)
+        closed_form = sum(a * 2.0 * r * G.m for r, a in enumerate(alpha.alpha, start=1))
+        assert counts == [math.ceil(scale * tau)]
+        assert 3 * counts[0] < math.ceil(scale * closed_form)
 
 
 class TestSddmExactRoute:

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 import re
@@ -18,9 +19,25 @@ from walksparse import (
     sparsify_monomial,
     sparsify_poly,
 )
-from walksparse.sparsify import stage_one_edge_budget, stage_two_edge_budget
+from walksparse.sampling import template_mass
+from walksparse.sparsify import stage_two_edge_budget
 
 from conftest import er_graph, ring_graph, star_graph
+
+
+def stage_one_budget(G, alpha, cfg):
+    """M = ceil(c_s ln n / eps1^2 * sum_r alpha_r tau_r), tau_r the mass of [A]*r under D = A 1."""
+    tau = sum(a * template_mass([G] * r, [2.0] * r, G.degree) for r, a in enumerate(alpha.alpha, start=1) if a > 0)
+    return math.ceil(cfg.oversample * math.log(G.n) / cfg.eps_stage_one**2 * tau)
+
+
+def logged_budget(G, alpha, cfg, caplog):
+    """The M that sparsify_poly's stage one logs."""
+    with caplog.at_level(logging.INFO, logger="walksparse"):
+        sparsify_poly(G, alpha, cfg, RngStream(0))
+    (msg,) = [m for m in caplog.messages if m.startswith("stage 1 ")]
+    caplog.clear()
+    return int(msg.rsplit("M = ", 1)[1].replace(",", ""))
 
 
 class TestConfig:
@@ -39,16 +56,17 @@ class TestConfig:
 
 
 class TestBudgets:
-    def test_stage_one_example(self):
+    def test_stage_one_example(self, triangle, caplog):
         # alpha=(1), m=3, n=3, eps1=0.5, c_s=4: ceil(4*ln3/0.25*6) = 106
         cfg = SparsifyConfig(epsilon=0.5, oversample=4.0, second_stage=False)
-        got = stage_one_edge_budget(PolyCoeffs.parse("1"), 3, 3, cfg)
-        assert got == 106
+        got = logged_budget(triangle, PolyCoeffs.parse("1"), cfg, caplog)
+        assert got == 106 == stage_one_budget(triangle, PolyCoeffs.parse("1"), cfg)
 
-    def test_stage_one_scales_with_mass(self):
+    def test_stage_one_scales_with_mass(self, caplog):
         cfg = SparsifyConfig(epsilon=0.5, second_stage=False)
-        a1 = stage_one_edge_budget(PolyCoeffs.monomial(1), 10, 50, cfg)
-        a2 = stage_one_edge_budget(PolyCoeffs.monomial(2), 10, 50, cfg)
+        G = ring_graph(50)
+        a1 = logged_budget(G, PolyCoeffs.monomial(1), cfg, caplog)
+        a2 = logged_budget(G, PolyCoeffs.monomial(2), cfg, caplog)
         assert a2 == pytest.approx(2 * a1, rel=0.01)
 
     def test_stage_two_formula(self):
@@ -189,7 +207,7 @@ class TestExactRoute:
         with caplog.at_level(logging.INFO, logger="walksparse"):
             sparsify_poly(G, alpha, cfg, RngStream(0))
         flops = int(np.sum(G.adjacency.getnnz(axis=1) ** 2))  # A D^-1 A costs sum deg^2
-        M = stage_one_edge_budget(alpha, G.m, G.n, cfg)
+        M = stage_one_budget(G, alpha, cfg)
         assert f"stage 1 exact: {flops:,} multiply-adds <= M = {M:,}" in caplog.messages
 
     def test_sample_when_products_cost_more(self, caplog):
@@ -201,9 +219,25 @@ class TestExactRoute:
         (msg,) = [m for m in caplog.messages if m.startswith("stage 1 ")]
         hit = re.fullmatch(r"stage 1 sample: at least ([\d,]+) multiply-adds > M = ([\d,]+)", msg)
         flops, M = (int(x.replace(",", "")) for x in hit.groups())
-        assert flops > M == stage_one_edge_budget(alpha, G.m, G.n, cfg)
+        assert flops > M == stage_one_budget(G, alpha, cfg)
         # sampled, so not the exact polynomial
         assert similarity_check(H.laplacian_dense(), dense_poly(G, alpha), 0.5).eps_required > 1e-6
+
+    @pytest.mark.usefixtures("sampled")
+    @pytest.mark.parametrize(
+        "a, digest",
+        [
+            ("0.5,0.5", "169dda0ae0244c69785823e36d44fa5519cbc4ab57d3c146d2d9d76e3eccc7eb"),
+            ("0.2,0.3,0.5", "5f03e4df31372c4242101ffb58040e7b122d7348f7ac0616da4c5f4fdcd571c3"),
+        ],
+        ids=["0.5,0.5", "0.2,0.3,0.5"],
+    )
+    def test_sampled_bytes_pinned(self, a, digest, tmp_path):
+        # the sampled mixture's output bytes for this seed are fixed
+        G = er_graph(30, 0.2, 23)
+        H = sparsify_poly(G, PolyCoeffs.parse(a), SparsifyConfig(epsilon=0.5), RngStream(9))
+        save_graph(H, tmp_path / "h.mtx")
+        assert hashlib.sha256((tmp_path / "h.mtx").read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("route", ["exact", "sample"])
     def test_replay_byte_identical(self, route, tmp_path, caplog, request):
