@@ -32,7 +32,7 @@ class WeightedGraph:
     Immutable after construction; safe to share across threads.
     """
 
-    def __init__(self, n, u, v, w, labels=None, _validate=True):
+    def __init__(self, n, u, v, w, _validate=True):
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         w = np.asarray(w, dtype=np.float64)
@@ -56,7 +56,6 @@ class WeightedGraph:
             same = (np.diff(self.edge_u) == 0) & (np.diff(self.edge_v) == 0)
             if np.any(same):
                 raise ValidationError("duplicate edges must be merged before construction")
-        self.labels = labels
         self.self_loops_dropped = 0
         adj = sp.coo_matrix(
             (
@@ -78,23 +77,22 @@ class WeightedGraph:
         return len(self.edge_w)
 
     @classmethod
-    def from_edges(cls, n, edges, merge_duplicates=True, labels=None):
+    def from_edges(cls, n, edges):
         """Build from (u, v, w) triples; duplicate edges are summed."""
         if len(edges) == 0:
-            return cls(n, [], [], [], labels=labels)
-        return cls._from_arrays(n, *(np.asarray(c) for c in zip(*edges)), merge_duplicates, labels)
+            return cls(n, [], [], [])
+        return cls._from_arrays(n, *(np.asarray(c) for c in zip(*edges)))
 
     @classmethod
-    def _from_arrays(cls, n, u, v, w, merge_duplicates=True, labels=None):
+    def _from_arrays(cls, n, u, v, w):
         loops = int(np.sum(u == v))
         if loops:
             # self-loops contribute nothing to the Laplacian quadratic form
             log.warning("dropped %d self-loop entries (they cancel in D - A)", loops)
             keep = u != v
             u, v, w = u[keep], v[keep], w[keep]
-        if merge_duplicates:
-            u, v, w = _merge_duplicate_edges(u, v, w)
-        G = cls(n, u, v, w, labels=labels)
+        u, v, w = _merge_duplicate_edges(u, v, w)
+        G = cls(n, u, v, w)
         G.self_loops_dropped = loops
         return G
 

@@ -28,6 +28,8 @@ from .sparsify import SparsifyConfig, _join_components, _split_components, spars
 
 # sign entries drawn per row block of the sketch (8 MB as int64)
 SKETCH_BLOCK_ENTRIES = 1 << 20
+# relative residual at which each sketch column's CG solve stops
+CG_RTOL = 1e-8
 
 
 @dataclass
@@ -52,7 +54,7 @@ def _incidence_rows(G: WeightedGraph):
     return sp.csr_matrix((vals, (rows, cols)), shape=(m, G.n))
 
 
-def _grounded_solve(G: WeightedGraph, rhs, rtol=1e-8):
+def _grounded_solve(G: WeightedGraph, rhs):
     """Solve L x = rhs (rhs orthogonal to 1) by grounding vertex 0."""
     L = G.laplacian().tocsr()
     red = L[1:, 1:]
@@ -60,7 +62,7 @@ def _grounded_solve(G: WeightedGraph, rhs, rtol=1e-8):
     precond = spla.LinearOperator(red.shape, matvec=lambda y: y / diag)
     out = np.zeros((rhs.shape[0], G.n))
     for i, b in enumerate(rhs):
-        x, info = spla.cg(red, b[1:], rtol=rtol, atol=0.0, maxiter=20 * G.n, M=precond)
+        x, info = spla.cg(red, b[1:], rtol=CG_RTOL, atol=0.0, maxiter=20 * G.n, M=precond)
         if info != 0:
             res = float(np.linalg.norm(red @ x - b[1:]) / max(np.linalg.norm(b[1:]), 1e-300))
             raise ConvergenceError(
@@ -108,7 +110,7 @@ def _grounded_inverse(G: WeightedGraph):
     return X
 
 
-def _sketch_potentials(G: WeightedGraph, delta, rng, rtol=1e-8):
+def _sketch_potentials(G: WeightedGraph, delta, rng):
     """k x n matrix whose column differences approximate resistances.
 
     Y = S B is accumulated from row blocks of the k x m sign matrix S; the
@@ -122,10 +124,10 @@ def _sketch_potentials(G: WeightedGraph, delta, rng, rtol=1e-8):
     for i in range(0, k, rows):
         signs = gen.integers(0, 2, (min(rows, k - i), G.m)) * 2 - 1
         Y[i:i + len(signs)] = (signs / math.sqrt(k)) @ B
-    return _grounded_solve(G, Y, rtol=rtol)
+    return _grounded_solve(G, Y)
 
 
-def estimate_er(H: WeightedGraph, delta=0.2, method=None, rng=None, rtol=1e-8) -> ErEstimates:
+def estimate_er(H: WeightedGraph, delta=0.2, method=None, rng=None) -> ErEstimates:
     """Per-edge effective-resistance upper bounds for an explicit graph.
 
     Exact from the grounded Cholesky inverse unless n exceeds both
@@ -145,7 +147,7 @@ def estimate_er(H: WeightedGraph, delta=0.2, method=None, rng=None, rtol=1e-8) -
     if method == "sketch":
         if rng is None:
             rng = RngStream(0, 0)
-        pot = _sketch_potentials(H, delta, rng, rtol=rtol)
+        pot = _sketch_potentials(H, delta, rng)
         diff = pot[:, H.edge_u] - pot[:, H.edge_v]
         est = np.sum(diff * diff, axis=0)
         infl = (1 + delta) ** 2

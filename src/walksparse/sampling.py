@@ -5,7 +5,10 @@ resistance coefficients under a shared degree normalization D (e.g. the
 pattern A A A~ A A). A walk is drawn with probability proportional to
 tau_p = w(p) Z(p) by choosing a pivot step (position and directed edge)
 from masses built from absorption vectors, then stepping outward from its
-endpoints with per-step distributions reweighted by the same vectors.
+endpoints with per-step distributions reweighted by the same vectors. The
+estimator's edge weight w(p) tau_total / (M tau_p) = tau_total / (M Z(p))
+does not read w(p), so a walk carries only its endpoints and
+Z(p) = sum_i coeffs[i] / w_i.
 
 A stage samples the prefixes of one layer list: SamplerIndex shares row
 tables across them, and template_mass gives each prefix's total mass
@@ -26,7 +29,6 @@ import scipy.sparse as sp
 from .errors import ValidationError
 from .graph import WeightedGraph
 
-LOG_SPACE_MIN_LENGTH = 64  # accumulate log-weights for very long walks
 _CHUNK = 1 << 19
 # Slack that keeps every guide entry at or before its true slot despite
 # rounding in u * k (Chen & Asau guide tables need a lower bound only).
@@ -92,15 +94,10 @@ class _RowTable:
         passed = np.cumsum(np.bincount((start + bucket)[inside], minlength=len(cum)))
         self.guide = start + passed - np.concatenate(([0], passed))[start]
 
-    def draw(self, gen, rows=None, count=None):
-        """One slot per requested row, or `count` slots of a one-row table."""
-        if rows is None:
-            u = gen.random(count)
-            first, size = 0, len(self.cum)
-        else:
-            u = gen.random(len(rows))
-            first, size = self.indptr[rows], self.deg[rows]
-        slot = self.guide[first + (u * size).astype(np.int64)]
+    def draw(self, gen, rows):
+        """One slot per entry of rows, drawn from that row's weights."""
+        u = gen.random(len(rows))
+        slot = self.guide[self.indptr[rows] + (u * self.deg[rows]).astype(np.int64)]
         late = np.flatnonzero(self.cum[slot] <= u)
         while len(late):
             slot[late] += 1
@@ -114,8 +111,7 @@ class PathBatch:
 
     u0: np.ndarray
     ur: np.ndarray
-    weight: np.ndarray  # w(p) divided by D at each interior vertex
-    mass: np.ndarray  # tau_p in the direction-identified convention
+    z: np.ndarray  # Z(p) = sum_i coeffs[i] / w_i over the walk's steps
     vertices: np.ndarray | None = None  # (count, r+1) when recorded
 
     def __len__(self):
@@ -137,7 +133,6 @@ class WalkTemplate:
 
     layers: list
     coeffs: np.ndarray
-    D: np.ndarray
     tau_total: float
     _pivot_mass: np.ndarray = field(repr=False)
     _pivots: list = field(repr=False)
@@ -150,7 +145,7 @@ class WalkTemplate:
         return len(self.layers)
 
 
-def _assemble(mats, coeffs, D, left, right, tables) -> WalkTemplate:
+def _assemble(mats, coeffs, left, right, tables) -> WalkTemplate:
     """Template over absorption vectors, reusing tables already in `tables`.
 
     Tables are keyed by (kind, layer, weight vector), so equal vectors on
@@ -187,7 +182,6 @@ def _assemble(mats, coeffs, D, left, right, tables) -> WalkTemplate:
     return WalkTemplate(
         layers=mats,
         coeffs=coeffs,
-        D=D,
         tau_total=0.5 * float(mass.sum()),
         _pivot_mass=mass,
         _pivots=pivots,
@@ -198,7 +192,7 @@ def _assemble(mats, coeffs, D, left, right, tables) -> WalkTemplate:
 
 
 def _absorption(layers, coeffs, D):
-    """Validated CSR layers, coefficients and D, with the absorption vectors."""
+    """Validated CSR layers and coefficients, with the absorption vectors under D."""
     # layers are WeightedGraphs or sparse matrices; a CSR layer is used as is, so
     # equal layers keep one identity across positions and prefixes and share tables
     csr = {}
@@ -225,7 +219,7 @@ def _absorption(layers, coeffs, D):
     right[r] = ones
     for i in range(r - 1, 0, -1):
         right[i] = np.divide(mats[i] @ right[i + 1], D, out=np.zeros(len(D)), where=D > 0)
-    return mats, coeffs, D, left, right
+    return mats, coeffs, left, right
 
 
 def build_template(layers, coeffs, D) -> WalkTemplate:
@@ -235,7 +229,7 @@ def build_template(layers, coeffs, D) -> WalkTemplate:
 
 def template_mass(layers, coeffs, D):
     """tau_total of build_template(layers, coeffs, D), without its tables."""
-    mats, coeffs, _, left, right = _absorption(layers, coeffs, D)
+    mats, coeffs, left, right = _absorption(layers, coeffs, D)
     pivot = [np.repeat(left[i], np.diff(m.indptr)) @ right[i][m.indices] for i, m in enumerate(mats, 1)]
     return 0.5 * float(coeffs @ pivot)
 
@@ -243,16 +237,12 @@ def template_mass(layers, coeffs, D):
 def sample_template_paths(tmpl: WalkTemplate, count, rng, record_vertices=False):
     """Draw walks from a template with probability tau_p / sum(tau).
 
-    Weights are accumulated in log space for r above 64.
+    Each walk carries its endpoints and Z(p) = sum_i coeffs[i] / w_i.
     """
     gen = _as_generator(rng)
     r = tmpl.r
-    log_space = r > LOG_SPACE_MIN_LENGTH
-    # in log space products become sums; np.asarray is the identity on arrays
-    mul, div, lift = (np.add, np.subtract, np.log) if log_space else (np.multiply, np.divide, np.asarray)
     u0 = np.empty(count, dtype=np.int64)
     ur = np.empty(count, dtype=np.int64)
-    w = np.empty(count)
     z = np.empty(count)
     verts = np.zeros((count, r + 1), dtype=np.int64) if record_vertices else None
 
@@ -262,37 +252,29 @@ def sample_template_paths(tmpl: WalkTemplate, count, rng, record_vertices=False)
     for i in np.flatnonzero(per_pos) + 1:
         blk = slice(bounds[i - 1], bounds[i])
         mat = tmpl.layers[i - 1]
-        slot = tmpl._pivots[i - 1].draw(gen, count=per_pos[i - 1])
-        wt = mat.data[slot]
-        wb, zb = w[blk], z[blk]
-        wb[:] = lift(wt)
-        np.divide(tmpl.coeffs[i - 1], wt, out=zb)
+        slot = tmpl._pivots[i - 1].draw(gen, np.zeros(per_pos[i - 1], dtype=np.int64))
+        zb = z[blk]
+        np.divide(tmpl.coeffs[i - 1], mat.data[slot], out=zb)
         a, b = tmpl._rows[i - 1][slot], mat.indices[slot]
         if record_vertices:
             verts[blk, i - 1] = a
             verts[blk, i] = b
         # backward through layers i-1..1 gives u_{j-1}; forward through
-        # i+1..r gives u_j. Every vertex stepped out of is interior.
+        # i+1..r gives u_j
         for cur, path, end in (
             (a, [(j, tmpl._back[j - 1], j - 1) for j in range(i - 1, 0, -1)], u0),
             (b, [(j, tmpl._fwd[j - 1], j) for j in range(i + 1, r + 1)], ur),
         ):
             for j, tab, col in path:
                 mat = tmpl.layers[j - 1]
-                slot = tab.draw(gen, rows=cur)
-                wt = mat.data[slot]
-                mul(wb, lift(wt), out=wb)
-                div(wb, lift(tmpl.D[cur]), out=wb)
-                zb += tmpl.coeffs[j - 1] / wt
+                slot = tab.draw(gen, cur)
+                zb += tmpl.coeffs[j - 1] / mat.data[slot]
                 cur = mat.indices[slot]
                 if record_vertices:
                     verts[blk, col] = cur
             end[blk] = cur
 
-    if log_space:
-        np.exp(w, out=w)
-    z *= w
-    return PathBatch(u0=u0, ur=ur, weight=w, mass=z, vertices=verts)
+    return PathBatch(u0=u0, ur=ur, z=z, vertices=verts)
 
 
 class SamplerIndex:
@@ -322,16 +304,17 @@ class SamplerIndex:
 
 def sample_paths(idx: SamplerIndex, j, count, rng, record_vertices=False):
     """Draw `count` walks through idx.layers[:j], each with probability
-    tau_p / idx.template(j).tau_total."""
+    tau_p / idx.template(j).tau_total, carrying their endpoints and Z(p)."""
     return sample_template_paths(idx.template(j), count, rng, record_vertices=record_vertices)
 
 
 def graph_sampling(draw, tau_total, M, rng, n):
     """Accumulate M reweighted samples into a sparsifier graph.
 
-    draw(count, gen) must return a PathBatch; each open sample contributes
-    weight * tau_total / (M * mass) on the edge (u0, ur). Closed samples
-    (u0 == ur) are consumed but emit nothing.
+    draw(count, gen) must return a PathBatch of walks drawn with probability
+    tau_p / tau_total; each open sample contributes tau_total / (M * z) on
+    the edge (u0, ur), which is w(p) / (M * tau_p / tau_total) with w(p)
+    cancelled. Closed samples (u0 == ur) are consumed but emit nothing.
     """
     if M < 1:
         raise ValidationError("sample count must be >= 1")
@@ -344,7 +327,7 @@ def graph_sampling(draw, tau_total, M, rng, n):
         open_mask = batch.u0 != batch.ur
         u = batch.u0[open_mask]
         v = batch.ur[open_mask]
-        wt = batch.weight[open_mask] * (tau_total / (M * batch.mass[open_mask]))
+        wt = tau_total / (M * batch.z[open_mask])
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
         chunk = sp.coo_matrix((wt, (lo, hi)), shape=(n, n)).tocsr()

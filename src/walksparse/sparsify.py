@@ -8,10 +8,10 @@ and for the high-degree composition steps. Its sample count M is c_s ln n /
 eps^2 times the D-normalised walk mass sum_j alpha_j tau(j). It computes
 the stage exactly, by a chain of sparse products, when that chain costs at
 most M multiply-adds (exact_walk_graph); otherwise it draws M walks with
-masses tau_p = w(p) Z(p) (prefixes picked proportionally to alpha_j tau(j),
-so the estimator is unbiased) and aggregates the endpoint edges. Stage two
-re-sparsifies the explicit result down to the n log n budget using
-solver-estimated effective resistances.
+masses tau_p = w(p) Z(p), prefixes picked proportionally to alpha_j tau(j),
+and adds tau / (M Z(p)) on each open walk's endpoint edge, tau being the
+sum of the alpha_j tau(j). Stage two re-sparsifies the explicit result down
+to the n log n budget using solver-estimated effective resistances.
 """
 
 from __future__ import annotations
@@ -35,14 +35,14 @@ log = logging.getLogger(__name__)
 class SparsifyConfig:
     """Knobs shared by every sampling stage.
 
-    split is the fraction of the epsilon budget spent in stage one;
+    epsilon is the total error budget: with second_stage it is split evenly
+    between stage one and stage two, otherwise stage one spends all of it.
     oversample is the leading constant c_s in every sample-count formula.
     """
 
     epsilon: float
     oversample: float = 4.0
     second_stage: bool = True
-    split: float = 0.5
     allow_disconnected: bool = False
 
     def __post_init__(self):
@@ -50,16 +50,14 @@ class SparsifyConfig:
             raise ValidationError("epsilon must lie in (0, 1]")
         if self.oversample <= 0:
             raise ValidationError("oversample constant must be positive")
-        if not (0 < self.split < 1):
-            raise ValidationError("split must lie in (0, 1)")
 
     @property
     def eps_stage_one(self):
-        return self.split * self.epsilon if self.second_stage else self.epsilon
+        return self.epsilon / 2 if self.second_stage else self.epsilon
 
     @property
     def eps_stage_two(self):
-        return (1 - self.split) * self.epsilon
+        return self.epsilon / 2
 
 
 def _log_n(n):
@@ -112,27 +110,25 @@ def stage_one(layers, coeffs, alpha, D, eps, cfg: SparsifyConfig, rng) -> Weight
     """
     n = len(D)
     prefixes = [j for j, a in enumerate(alpha, start=1) if a > 0]
-    tau = sum(alpha[j - 1] * template_mass(layers[:j], coeffs[:j], D) for j in prefixes)
+    mass = [alpha[j - 1] * template_mass(layers[:j], coeffs[:j], D) for j in prefixes]
+    tau = sum(mass)
     M = int(math.ceil(cfg.oversample * _log_n(n) / eps**2 * tau))
     H = exact_walk_graph(layers, D, M, alpha)
     if H is not None:
         return H
     idx = SamplerIndex(layers, coeffs, D)
-    weights = np.array([alpha[j - 1] * idx.template(j).tau_total for j in prefixes])
-    probs = weights / weights.sum()
+    probs = np.array(mass) / tau
 
     def draw(count, gen):
-        # alpha_j scales both the target weight and the sampling mass of a
-        # walk through layers[:j], so it cancels in graph_sampling
         batches = [
             sample_paths(idx, j, int(c), gen)
             for j, c in zip(prefixes, gen.multinomial(count, probs))
             if c > 0
         ]
-        cols = zip(*((b.u0, b.ur, b.weight, b.mass) for b in batches))
+        cols = zip(*((b.u0, b.ur, b.z) for b in batches))
         return PathBatch(*(np.concatenate(col) for col in cols))
 
-    return graph_sampling(draw, float(weights.sum()), M, rng, n)
+    return graph_sampling(draw, tau, M, rng, n)
 
 
 def _split_components(G: WeightedGraph):

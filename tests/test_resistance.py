@@ -1,9 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from walksparse import (
+    ConvergenceError,
     InputRefusedError,
     PolyCoeffs,
     RngStream,
@@ -92,6 +95,16 @@ class TestEstimateEr:
     def test_unknown_method(self, triangle):
         with pytest.raises(ValidationError):
             estimate_er(triangle, method="nope")
+
+    def test_cg_failure_raises_with_residual(self, monkeypatch):
+        from walksparse import resistance
+
+        # a cg that reports breakdown (info=1) after returning x = 0
+        stub = SimpleNamespace(LinearOperator=spla.LinearOperator, cg=lambda A, b, **kwargs: (np.zeros_like(b), 1))
+        monkeypatch.setattr(resistance, "spla", stub)
+        with pytest.raises(ConvergenceError, match="conjugate gradient failed") as err:
+            estimate_er(er_graph(30, 0.2, 0), method="sketch", rng=RngStream(0))
+        assert np.isfinite(err.value.residual) and err.value.residual > 0
 
 
 class TestResparsify:

@@ -13,7 +13,7 @@ from walksparse import (
     sample_paths,
     sample_template_paths,
 )
-from walksparse.oracle import canonical_path_masses, enumerate_paths
+from walksparse.oracle import enumerate_paths
 from walksparse.sampling import _RowTable, template_mass
 
 from conftest import er_graph, random_sddm, ring_graph
@@ -52,7 +52,8 @@ class TestSamplerIndex:
         for e in range(3):
             assert counts[e] == pytest.approx(10000, rel=0.1)
         assert np.any(a > b) and np.any(a < b)
-        np.testing.assert_allclose(batch.mass, 2.0)
+        # Z(p) of a one-step walk is its coefficient over the edge weight
+        np.testing.assert_allclose(batch.z, 2.0 / np.asarray(G.adjacency[a, b]).ravel(), rtol=1e-15)
 
     def test_neighbor_step_weight_proportional(self):
         G = WeightedGraph.from_edges(3, [(0, 1, 3.0), (0, 2, 1.0)])
@@ -80,7 +81,7 @@ class TestSamplePaths:
         idx = monomial_index(single_edge, 2)
         batch = sample_paths(idx, 2, 500, RngStream(0))
         assert np.all(batch.u0 == batch.ur)
-        np.testing.assert_allclose(batch.mass, 4.0)
+        np.testing.assert_allclose(batch.z, 4.0)
 
     @pytest.mark.filterwarnings("error")
     def test_isolated_vertex_absorbs_nothing(self):
@@ -88,46 +89,53 @@ class TestSamplePaths:
         G = WeightedGraph.from_edges(3, [(0, 1, 1.0)])
         batch = sample_paths(monomial_index(G, 3), 3, 100, RngStream(0))
         assert np.all(batch.u0 != batch.ur)
-        np.testing.assert_allclose(batch.mass, 6.0)
+        np.testing.assert_allclose(batch.z, 6.0)
 
-    def test_weights_match_enumeration(self, triangle):
-        # D = A 1 / aux divides weight and mass by D, so each gains the
-        # product of aux over the interior vertices
+    def test_z_matches_enumeration(self, triangle):
+        # Z(p) depends on the edge weights alone, not on the normalization D
         aux = np.array([0.5, 0.9, 0.25])
         idx = monomial_index(triangle, 3, triangle.degree / aux)
         batch = sample_paths(idx, 3, 200, RngStream(1), record_vertices=True)
         lookup = {p.vertices: p for p in enumerate_paths(triangle, 3)}
         for i in range(len(batch)):
-            verts = tuple(int(x) for x in batch.vertices[i])
-            p = lookup[verts]
-            factor = np.prod(aux[list(verts[1:-1])])
-            assert batch.weight[i] == pytest.approx(p.weight * factor, rel=1e-12)
-            assert batch.mass[i] == pytest.approx(p.mass * factor, rel=1e-12)
+            p = lookup[tuple(int(x) for x in batch.vertices[i])]
+            assert batch.z[i] == pytest.approx(p.resistance_bound, rel=1e-12)
 
     def test_distribution_matches_tau(self, triangle):
-        # canonical open walks appear with probability tau_p / (2 r m)
-        idx = monomial_index(triangle, 2)
+        # canonical walks appear with probability tau_p / tau_total. Under
+        # D = A 1 that is the enumerated mass over 2 r m; D = A 1 / aux
+        # divides tau_p by D at each interior vertex, so the enumerated mass
+        # gains the product of aux over them.
+        aux = np.array([0.5, 0.9, 0.25])
         n_draw = 60000
-        batch = sample_paths(idx, 2, n_draw, RngStream(2), record_vertices=True)
-        masses = canonical_path_masses(enumerate_paths(triangle, 2))
-        total = 2.0 * 2 * triangle.m
-        counts = {}
-        for row in batch.vertices:
-            key = min(tuple(row), tuple(row)[::-1])
-            counts[key] = counts.get(key, 0) + 1
-        keys = sorted(masses)
-        obs = np.array([counts.get(k, 0) for k in keys])
-        exp = np.array([masses[k] / total * n_draw for k in keys])
-        chi = stats.chisquare(obs, exp)
-        assert chi.pvalue > 0.001
+        for r, factor, seed in ((2, np.ones(3), 2), (3, aux, 1)):
+            idx = monomial_index(triangle, r, triangle.degree / factor)
+            batch = sample_paths(idx, r, n_draw, RngStream(seed), record_vertices=True)
+            masses = {}
+            for p in enumerate_paths(triangle, r):
+                key = min(p.vertices, p.vertices[::-1])
+                masses[key] = masses.get(key, 0.0) + 0.5 * p.mass * np.prod(factor[list(p.vertices[1:-1])])
+            total = sum(masses.values())
+            assert total == pytest.approx(idx.template(r).tau_total, rel=1e-12)
+            counts = {}
+            for row in batch.vertices:
+                key = min(tuple(row), tuple(row)[::-1])
+                counts[key] = counts.get(key, 0) + 1
+            keys = sorted(masses)
+            obs = np.array([counts.get(k, 0) for k in keys])
+            exp = np.array([masses[k] / total * n_draw for k in keys])
+            chi = stats.chisquare(obs, exp)
+            assert chi.pvalue > 0.001, (r, chi.pvalue)
 
-    def test_long_walk_log_space_finite(self):
+    def test_long_walk_finite(self):
         G = er_graph(20, 0.3, 3, weighted=True)
         idx = monomial_index(G, 80)
         batch = sample_paths(idx, 80, 100, RngStream(4))
-        assert np.all(np.isfinite(batch.weight))
-        assert np.all(batch.weight > 0)
-        assert np.all(batch.mass > 0)
+        assert np.all(np.isfinite(batch.z)) and np.all(batch.z > 0)
+        draw = lambda count, gen: sample_paths(idx, 80, count, gen)
+        H = graph_sampling(draw, idx.template(80).tau_total, 100, RngStream(4), G.n)
+        assert H.m > 0
+        assert np.all(np.isfinite(H.edge_w)) and np.all(H.edge_w > 0)
 
     def test_invalid_length(self, triangle):
         with pytest.raises(ValidationError):
@@ -183,10 +191,8 @@ class TestWalkTemplates:
         batch = sample_template_paths(t, 5000, RngStream(7), record_vertices=True)
         lookup = {p.vertices: p for p in enumerate_paths(triangle, 2)}
         for i in range(200):
-            verts = tuple(int(x) for x in batch.vertices[i])
-            p = lookup[verts]
-            assert batch.weight[i] == pytest.approx(p.weight, rel=1e-12)
-            assert batch.mass[i] == pytest.approx(p.mass, rel=1e-12)
+            p = lookup[tuple(int(x) for x in batch.vertices[i])]
+            assert batch.z[i] == pytest.approx(p.resistance_bound, rel=1e-12)
 
     def test_template_estimator_unbiased(self):
         from walksparse import dense_monomial
