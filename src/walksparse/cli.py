@@ -24,7 +24,7 @@ from .graph import (
     save_sddm,
 )
 from .highdegree import sparsify_high_degree
-from .newton import inv_sqrt_chain, qth_root_reduce_step
+from .newton import inv_sqrt_chain, qth_root_coefficients
 from .oracle import dense_poly, enumerate_paths, similarity_check, total_enumerated_mass
 from .resistance import er_oracle_build
 from .sampling import RngStream
@@ -36,6 +36,9 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_REFUSED = 4
 EXIT_VERIFY = 5
+
+ALLOW_DISCONNECTED_HELP = ("accept a disconnected graph and sparsify each component's "
+                           "polynomial; no edge joins two components")
 
 
 def _alpha_arg(text):
@@ -70,12 +73,12 @@ def build_parser():
     _common(sp)
     sp.add_argument("--alpha", required=True, type=_alpha_arg,
                     help="comma-separated coefficients, e.g. 0.5,0.5")
-    sp.add_argument("--allow-disconnected", action="store_true")
+    sp.add_argument("--allow-disconnected", action="store_true", help=ALLOW_DISCONNECTED_HELP)
 
     sm = sub.add_parser("sparsify-monomial", help="sparsify the r-step walk Laplacian")
     _common(sm)
     sm.add_argument("--degree", "-r", type=int, required=True)
-    sm.add_argument("--allow-disconnected", action="store_true")
+    sm.add_argument("--allow-disconnected", action="store_true", help=ALLOW_DISCONNECTED_HELP)
 
     hd = sub.add_parser("high-degree", help="even-degree monomial pipeline")
     _common(hd)
@@ -225,7 +228,7 @@ def _run_qth_root(args):
     M = load_sddm(args.input)
     cfg = _cfg(args)
     t0 = time.perf_counter()
-    (left, right), alpha = qth_root_reduce_step(M, args.q)
+    alpha = qth_root_coefficients(args.q)
     res = sparsify_sddm(M, alpha, cfg, RngStream(args.seed))
     wall = time.perf_counter() - t0
     save_sddm(res.sddm(), args.output)

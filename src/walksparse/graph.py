@@ -316,12 +316,11 @@ class _Body:
             raise GraphFormatError(message(k), line=self.lines[k])
 
 
-def load_graph(path, fmt=None, symmetrize=False):
+def load_graph(path, fmt=None):
     """Load a WeightedGraph from an edge list or Matrix Market file.
 
     fmt is 'edge-list', 'matrix-market', or None to sniff from the content.
-    symmetrize allows Matrix Market 'general' files that list only one
-    triangle; without it a one-sided entry is an error.
+    A Matrix Market 'general' file must list both triangles.
     """
     with open(path) as raw:
         fh = raw if raw.seekable() else io.StringIO(raw.read())  # the scanner rereads
@@ -330,7 +329,7 @@ def load_graph(path, fmt=None, symmetrize=False):
             fh.seek(0)
         if fmt == "matrix-market":
             n, kind, body, u, v, w = _read_matrix_market(fh)
-            if kind == "general" and not symmetrize:
+            if kind == "general":
                 return WeightedGraph._from_arrays(n, *_merge_general(body, n, u, v, w))
         elif fmt == "edge-list":
             body = _Body(fh, 1, "#")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .graph import PolyCoeffs, SddmMatrix, WeightedGraph
-from .sampling import RngStream, _as_generator, substream
+from .sampling import RngStream, substream
 from .sddm import sparsify_sddm
 from .sparsify import SparsifyConfig
 
@@ -50,7 +50,6 @@ class FactorChain:
     factors: list = field(default_factory=list)
     terminal_diag: np.ndarray = None
     eps_bound: float = 0.0
-    q: int = 1
     rho_history: list = field(default_factory=list)
 
     def __len__(self):
@@ -83,17 +82,17 @@ class FactorChain:
         return float(vals.min()), float(vals.max())
 
 
-def spectral_radius(M: SddmMatrix, iters=200, rng=None):
-    """Power-method estimate of rho(D^-1 A) via X = D^-1/2 A D^-1/2."""
+def spectral_radius(M: SddmMatrix):
+    """200 power-method steps for rho(D^-1 A) via X = D^-1/2 A D^-1/2."""
     if M.offdiag.m == 0:
         return 0.0
-    gen = _as_generator(rng if rng is not None else RngStream(17, 0))
+    gen = RngStream(17, 0).generator()
     isq = 1.0 / np.sqrt(M.diag)
     A = M.offdiag.adjacency
     x = gen.standard_normal(M.n)
     x /= np.linalg.norm(x)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(200):
         y = isq * (A @ (isq * x))
         nrm = np.linalg.norm(y)
         if nrm == 0:
@@ -108,7 +107,7 @@ def newton_sqrt_step(M: SddmMatrix, eps, cfg: SparsifyConfig, rng):
     cubic polynomial D - 3/4 D(D^-1 A)^2 - 1/4 D(D^-1 A)^3."""
     factor = AffineFactor(diag=M.diag, graph=M.offdiag)
     if M.offdiag.m == 0:
-        return factor, SddmMatrix(M.diag, M.offdiag, tol=math.inf)
+        return factor, M
     res = sparsify_sddm(M, NEWTON_ALPHA, replace(cfg, epsilon=eps), rng)
     return factor, res.sddm()
 
@@ -155,7 +154,7 @@ def inv_sqrt_chain(
     if cfg is None:
         cfg = SparsifyConfig(epsilon=min(eps_step, 1.0) if eps_step > 0 else 0.5)
 
-    chain = FactorChain(q=1)
+    chain = FactorChain()
     cur = M
     for k in range(max_iters):
         if k:  # step 0 is M itself, measured above

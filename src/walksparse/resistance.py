@@ -1,12 +1,13 @@
-"""Effective-resistance estimation, second-stage sparsification, and the
-resistance query oracle for sparsified walk polynomials.
+"""Effective resistances of a connected graph (ErOracle), read by stage
+two's resparsify pass and by the query oracle of a sparsified L_alpha(G).
 
-Resistances are exact, from one Cholesky factorization of the grounded
-Laplacian, unless n exceeds both DENSE_THRESHOLD and the width k of the
-Johnson-Lindenstrauss sketch that would replace it: below that, the
-sketch's k x n potentials cost at least n solves and as much memory. The
-sketch projects the incidence operator and solves against the Laplacian
-with Jacobi-preconditioned conjugate gradients.
+ErOracle makes the one choice of method: resistances are exact, from one
+Cholesky factorization of the grounded Laplacian, unless n exceeds both
+DENSE_THRESHOLD and the width k of the Johnson-Lindenstrauss sketch that
+would replace it (Spielman & Srivastava, 2008). The sketch projects the
+incidence operator and solves against the Laplacian by Jacobi-preconditioned
+conjugate gradients. resparsify, the only split of a graph into components,
+works one component at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import ConvergenceError, InputRefusedError, ValidationError
 from .graph import DENSE_THRESHOLD, PolyCoeffs, WeightedGraph
 from .sampling import RngStream, _as_generator, substream
-from .sparsify import SparsifyConfig, _join_components, _split_components, sparsify_poly, stage_two_edge_budget
+from .sparsify import SparsifyConfig, sparsify_poly, stage_two_edge_budget
 
 
 # sign entries drawn per row block of the sketch (8 MB as int64)
@@ -38,7 +39,6 @@ class ErEstimates:
 
     Z: np.ndarray
     method: str  # 'dense-exact' or 'sketch'
-    inflation: float = 1.0
 
 
 def _incidence_rows(G: WeightedGraph):
@@ -127,32 +127,65 @@ def _sketch_potentials(G: WeightedGraph, delta, rng):
     return _grounded_solve(G, Y)
 
 
-def estimate_er(H: WeightedGraph, delta=0.2, method=None, rng=None) -> ErEstimates:
-    """Per-edge effective-resistance upper bounds for an explicit graph.
+class ErOracle:
+    """Effective resistances of a connected graph H, from its grounded inverse
+    or, if _default_method picks the sketch, within (1 + delta)^2 w.h.p."""
 
-    Exact from the grounded Cholesky inverse unless n exceeds both
-    DENSE_THRESHOLD and the sketch width k = ceil(24 ln n / delta^2); then a
-    JL sketch whose estimates are inflated by (1 + delta)^2 to remain upper
-    bounds w.h.p. method='sketch' or 'dense-exact' overrides the choice.
-    """
-    if not H.is_connected():
-        raise InputRefusedError("effective-resistance estimation needs a connected graph")
-    if method is None:
-        method = _default_method(H.n, delta)
-    if method == "dense-exact":
-        X = _grounded_inverse(H)
-        d = np.diagonal(X)
-        # edge_u < edge_v, so X[edge_u, edge_v] lies in the filled triangle
-        return ErEstimates(Z=d[H.edge_u] + d[H.edge_v] - 2 * X[H.edge_u, H.edge_v], method=method)
-    if method == "sketch":
-        if rng is None:
-            rng = RngStream(0, 0)
-        pot = _sketch_potentials(H, delta, rng)
-        diff = pot[:, H.edge_u] - pot[:, H.edge_v]
-        est = np.sum(diff * diff, axis=0)
-        infl = (1 + delta) ** 2
-        return ErEstimates(Z=est * infl, method=method, inflation=infl)
-    raise ValidationError(f"unknown method {method!r}")
+    def __init__(self, H: WeightedGraph, delta, rng=None):
+        if not H.is_connected():
+            raise InputRefusedError("effective-resistance estimation needs a connected graph")
+        self.graph = H
+        self.method = _default_method(H.n, delta)
+        if self.method == "dense-exact":
+            self._state = _grounded_inverse(H)  # upper triangle filled
+        else:
+            self._state = _sketch_potentials(H, delta, rng if rng is not None else RngStream(0, 0))
+
+    def resistances(self, u, v):
+        """R(u, v) for vertex indices or index arrays with u <= v."""
+        if self.method == "dense-exact":
+            X = self._state
+            return X[u, u] + X[v, v] - 2 * X[u, v]
+        diff = self._state[:, u] - self._state[:, v]
+        return np.sum(diff * diff, axis=0)
+
+    def query(self, u, v):
+        n = self.graph.n
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValidationError(f"vertex pair ({u}, {v}) out of range")
+        return float(self.resistances(min(u, v), max(u, v)))
+
+
+def estimate_er(H: WeightedGraph, delta=0.2, rng=None) -> ErEstimates:
+    """Per-edge resistance upper bounds: ErOracle(H, delta, rng) on H's edges,
+    sketched ones inflated by (1 + delta)^2 to remain upper bounds w.h.p."""
+    oracle = ErOracle(H, delta, rng)
+    Z = oracle.resistances(H.edge_u, H.edge_v)  # edge_u < edge_v
+    if oracle.method == "sketch":
+        Z = Z * (1 + delta) ** 2
+    return ErEstimates(Z=Z, method=oracle.method)
+
+
+def _split_components(G: WeightedGraph):
+    ncomp, labels = connected_components(G.adjacency, directed=False)
+    for c in range(ncomp):
+        verts = np.nonzero(labels == c)[0]
+        if len(verts) < 2:
+            continue
+        remap = -np.ones(G.n, dtype=np.int64)
+        remap[verts] = np.arange(len(verts))
+        mask = remap[G.edge_u] >= 0
+        yield verts, WeightedGraph(
+            len(verts), remap[G.edge_u[mask]], remap[G.edge_v[mask]], G.edge_w[mask]
+        )
+
+
+def _join_components(n, parts):
+    """Union of component graphs, each given with its vertex ids in the whole."""
+    u = np.concatenate([verts[H.edge_u] for verts, H in parts])
+    v = np.concatenate([verts[H.edge_v] for verts, H in parts])
+    w = np.concatenate([H.edge_w for _, H in parts])
+    return WeightedGraph(n, u, v, w)
 
 
 def resparsify(H: WeightedGraph, eps, cfg: SparsifyConfig, rng) -> WeightedGraph:
@@ -181,35 +214,6 @@ def resparsify(H: WeightedGraph, eps, cfg: SparsifyConfig, rng) -> WeightedGraph
     return WeightedGraph(H.n, H.edge_u[keep], H.edge_v[keep], new_w)
 
 
-class ErOracle:
-    """Approximate effective-resistance queries against a sparsified L_alpha.
-
-    Queries satisfy R~ / R within e^eps (1 + delta) on both sides; the
-    sketch is built at delta / 2 so the JL error stays inside that bracket.
-    """
-
-    def __init__(self, H: WeightedGraph, eps, delta, method, state):
-        self.graph = H
-        self.eps = eps
-        self.delta = delta
-        self.method = method
-        self._state = state
-
-    def query(self, u, v):
-        n = self.graph.n
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValidationError(f"vertex pair ({u}, {v}) out of range")
-        if u == v:
-            return 0.0
-        if self.method == "dense-exact":
-            X = self._state  # upper triangle of the grounded inverse
-            a, b = min(u, v), max(u, v)
-            return float(X[a, a] + X[b, b] - 2 * X[a, b])
-        pot = self._state
-        d = pot[:, u] - pot[:, v]
-        return float(d @ d)
-
-
 def er_oracle_build(
     G: WeightedGraph,
     alpha: PolyCoeffs,
@@ -217,13 +221,12 @@ def er_oracle_build(
     rng,
     delta=0.2,
     cfg: SparsifyConfig = None,
-    method=None,
 ) -> ErOracle:
-    """Sparsify L_alpha(G), then precompute resistance query state.
+    """Sparsify L_alpha(G), then build the ErOracle of the sparsifier.
 
-    The query state is the grounded inverse, or the potentials of a sketch
-    at delta / 2, chosen as in estimate_er. A disconnected sparsifier is
-    refused, since resistances across its components are infinite.
+    The oracle's sketch, if any, is built at delta / 2, so queries satisfy
+    R~ / R within e^eps (1 + delta) on both sides. A disconnected sparsifier
+    is refused, since resistances across its components are infinite.
     """
     if cfg is None:
         cfg = SparsifyConfig(epsilon=eps)
@@ -237,12 +240,4 @@ def er_oracle_build(
             f"{isolated} isolated vertices), so resistances across components are infinite; "
             "a larger oversample constant keeps more edges"
         )
-    if method is None:
-        method = _default_method(H.n, delta / 2)
-    if method == "dense-exact":
-        state = _grounded_inverse(H)
-    else:
-        sub = substream(rng, 77)
-        state = _sketch_potentials(H, delta / 2, sub)
-    return ErOracle(H, eps, delta, method, state)
-
+    return ErOracle(H, delta / 2, substream(rng, 77))

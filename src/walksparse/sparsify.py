@@ -11,7 +11,8 @@ most M multiply-adds (exact_walk_graph); otherwise it draws M walks with
 masses tau_p = w(p) Z(p), prefixes picked proportionally to alpha_j tau(j),
 and adds tau / (M Z(p)) on each open walk's endpoint edge, tau being the
 sum of the alpha_j tau(j). Stage two re-sparsifies the explicit result down
-to the n log n budget using solver-estimated effective resistances.
+to the n log n budget using effective resistances. A disconnected graph
+runs whole: walks never leave a component; only resparsify splits it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InputRefusedError, ValidationError
 from .graph import PolyCoeffs, WeightedGraph
@@ -38,6 +38,8 @@ class SparsifyConfig:
     epsilon is the total error budget: with second_stage it is split evenly
     between stage one and stage two, otherwise stage one spends all of it.
     oversample is the leading constant c_s in every sample-count formula.
+    allow_disconnected accepts a disconnected graph (its polynomial is the
+    union of its components'); without it one is refused.
     """
 
     epsilon: float
@@ -131,42 +133,13 @@ def stage_one(layers, coeffs, alpha, D, eps, cfg: SparsifyConfig, rng) -> Weight
     return graph_sampling(draw, tau, M, rng, n)
 
 
-def _split_components(G: WeightedGraph):
-    ncomp, labels = connected_components(G.adjacency, directed=False)
-    for c in range(ncomp):
-        verts = np.nonzero(labels == c)[0]
-        if len(verts) < 2:
-            continue
-        remap = -np.ones(G.n, dtype=np.int64)
-        remap[verts] = np.arange(len(verts))
-        mask = remap[G.edge_u] >= 0
-        yield verts, WeightedGraph(
-            len(verts), remap[G.edge_u[mask]], remap[G.edge_v[mask]], G.edge_w[mask]
-        )
-
-
-def _join_components(n, parts):
-    """Union of component graphs, each given with its vertex ids in the whole."""
-    u = np.concatenate([verts[H.edge_u] for verts, H in parts])
-    v = np.concatenate([verts[H.edge_v] for verts, H in parts])
-    w = np.concatenate([H.edge_w for _, H in parts])
-    return WeightedGraph(n, u, v, w)
-
-
 def walk_graph(G: WeightedGraph, D, alpha: PolyCoeffs, cfg: SparsifyConfig, rng) -> WeightedGraph:
     """Sparsifier of the off-diagonal sum_r alpha_r A (D^-1 A)^{r-1}, D >= A 1."""
-    if not G.is_connected():
-        if not cfg.allow_disconnected:
-            raise InputRefusedError(
-                "graph is disconnected; effective-resistance bounds need paths between "
-                "sampled endpoints (pass allow_disconnected to process components separately)"
-            )
-        parts = [
-            (verts, walk_graph(sub, D[verts], alpha, cfg, substream(rng, 1000 + k)))
-            for k, (verts, sub) in enumerate(_split_components(G))
-        ]
-        return _join_components(G.n, parts)
-
+    if not cfg.allow_disconnected and not G.is_connected():
+        raise InputRefusedError(
+            "graph is disconnected (pass allow_disconnected to sparsify each component's "
+            "polynomial, with no edges between components)"
+        )
     layers = [G.adjacency] * alpha.d
     H = stage_one(layers, np.full(alpha.d, 2.0), alpha.alpha, D, cfg.eps_stage_one, cfg, rng)
     if cfg.second_stage:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from walksparse import SddmMatrix, WeightedGraph, sparsify
+from walksparse import SddmMatrix, WeightedGraph, resistance, sparsify
 
 
 def er_graph(n, p, seed, weighted=False):
@@ -54,6 +54,12 @@ def random_sddm(n, p, seed, slack=1.0):
 def sampled(monkeypatch):
     """Every stage one draws its walks: the paper's sampled pipeline."""
     monkeypatch.setattr(sparsify, "exact_walk_graph", lambda *args: None)
+
+
+@pytest.fixture
+def sketched(monkeypatch):
+    """Every ErOracle sketches its resistances, whatever the graph's size."""
+    monkeypatch.setattr(resistance, "_default_method", lambda n, delta: "sketch")
 
 
 @pytest.fixture

@@ -201,8 +201,6 @@ class TestFileIO:
         )
         with pytest.raises(GraphFormatError):
             load_graph(p)
-        G = load_graph(p, symmetrize=True)
-        assert G.m == 2
 
     def test_sddm_roundtrip(self, tmp_path):
         G = er_graph(8, 0.5, 7, weighted=True)

@@ -182,6 +182,19 @@ class TestInvSqrtChain:
         with pytest.raises(ValidationError):
             inv_sqrt_chain(M, 0.0)
 
+    def test_walk_ratio_at_least_one_refused(self):
+        # K_10 whose diagonal sits inside the dominance tolerance but below the
+        # degree on nine vertices: validation accepts it, yet rho(D^-1 A) > 1
+        G = WeightedGraph.from_dense(np.ones((10, 10)) - np.eye(10))
+        diag = G.degree - 8e-12
+        diag[9] = G.degree[9] + 1e-11
+        M = SddmMatrix(diag, G)
+        isq = 1.0 / np.sqrt(M.diag)
+        rho = np.max(np.linalg.eigvalsh(isq[:, None] * G.adjacency_dense() * isq[None, :]))
+        assert rho > 1
+        with pytest.raises(ValidationError, match="walk ratio >= 1"):
+            inv_sqrt_chain(M, 0.4)
+
 
 class TestQthRootReduceStep:
     def test_factors_scale_with_q(self):

@@ -36,10 +36,12 @@ class TestEstimateEr:
         R = exact_er_matrix(G.laplacian_dense())
         np.testing.assert_allclose(est.Z, R[G.edge_u, G.edge_v], rtol=1e-9)
 
+    @pytest.mark.usefixtures("sketched")
     def test_sketch_upper_bounds(self):
         G = er_graph(60, 0.15, 1, weighted=True)
         delta = 0.2
-        est = estimate_er(G, delta=delta, method="sketch", rng=RngStream(3))
+        est = estimate_er(G, delta=delta, rng=RngStream(3))
+        assert est.method == "sketch"
         R = exact_er_matrix(G.laplacian_dense())
         exact = R[G.edge_u, G.edge_v]
         # inflated sketch stays an upper bound and within (1+delta)^4 above
@@ -92,10 +94,7 @@ class TestEstimateEr:
         with pytest.raises(InputRefusedError):
             estimate_er(G)
 
-    def test_unknown_method(self, triangle):
-        with pytest.raises(ValidationError):
-            estimate_er(triangle, method="nope")
-
+    @pytest.mark.usefixtures("sketched")
     def test_cg_failure_raises_with_residual(self, monkeypatch):
         from walksparse import resistance
 
@@ -103,7 +102,7 @@ class TestEstimateEr:
         stub = SimpleNamespace(LinearOperator=spla.LinearOperator, cg=lambda A, b, **kwargs: (np.zeros_like(b), 1))
         monkeypatch.setattr(resistance, "spla", stub)
         with pytest.raises(ConvergenceError, match="conjugate gradient failed") as err:
-            estimate_er(er_graph(30, 0.2, 0), method="sketch", rng=RngStream(0))
+            estimate_er(er_graph(30, 0.2, 0), rng=RngStream(0))
         assert np.isfinite(err.value.residual) and err.value.residual > 0
 
 
@@ -165,12 +164,12 @@ class TestErOracle:
             got = oracle.query(int(u), int(v))
             assert truth / factor <= got <= truth * factor, (u, v, truth, got)
 
+    @pytest.mark.usefixtures("sketched")
     def test_sketch_mode_queries(self):
         G = er_graph(90, 0.1, 8)
         eps, delta = 0.3, 0.2
-        oracle = er_oracle_build(
-            G, PolyCoeffs.parse("1"), eps, RngStream(9), delta=delta, method="sketch"
-        )
+        oracle = er_oracle_build(G, PolyCoeffs.parse("1"), eps, RngStream(9), delta=delta)
+        assert oracle.method == "sketch"
         L = G.laplacian_dense()
         factor = math.exp(eps) * (1 + delta)
         gen = np.random.default_rng(1)

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walksparse import (
     InputRefusedError,
@@ -20,10 +22,11 @@ from walksparse import (
     sparsify_monomial,
     sparsify_poly,
 )
+from walksparse import sparsify
 from walksparse.sampling import template_mass
 from walksparse.sparsify import stage_two_edge_budget
 
-from conftest import er_graph, ring_graph, star_graph
+from conftest import barbell_graph, er_graph, path_graph, ring_graph, star_graph
 
 
 def stage_one_budget(G, alpha, cfg):
@@ -264,3 +267,60 @@ class TestExactRoute:
                 save_graph(sparsify_poly(G, alpha, cfg, RngStream(9)), tmp_path / name)
         assert ("stage 1 exact" in caplog.text) == (route == "exact")
         assert (tmp_path / "a.mtx").read_bytes() == (tmp_path / "b.mtx").read_bytes()
+
+
+@st.composite
+def disconnected_inputs(draw):
+    """A union of 1-2 components (path, star, barbell or ER) and 0-2 isolated
+    vertices under a random labelling, weights 10**U(-8, 8), and alpha of
+    degree 1-4. Components have at most 10 vertices, so the default route is
+    the exact product at eps 0.5."""
+    family = st.sampled_from(["path", "star", "barbell", "er"])
+    parts = []
+    for kind in draw(st.lists(family, min_size=1, max_size=2)):
+        if kind == "path":
+            parts.append(path_graph([1.0] * draw(st.integers(1, 9))))
+        elif kind == "star":
+            parts.append(star_graph(draw(st.integers(3, 10))))
+        elif kind == "barbell":
+            parts.append(barbell_graph(draw(st.integers(2, 5))))
+        else:
+            parts.append(er_graph(draw(st.integers(3, 10)), 0.4, draw(st.integers(0, 1000))))
+    n = sum(P.n for P in parts) + draw(st.integers(0, 2))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    label = gen.permutation(n)
+    offsets = np.cumsum([0] + [P.n for P in parts])
+    u = np.concatenate([label[o + P.edge_u] for o, P in zip(offsets, parts)])
+    v = np.concatenate([label[o + P.edge_v] for o, P in zip(offsets, parts)])
+    G = WeightedGraph(n, np.minimum(u, v), np.maximum(u, v), 10.0 ** gen.uniform(-8, 8, len(u)))
+    a = gen.random(draw(st.integers(1, 4)))
+    return G, PolyCoeffs(a / a.sum())
+
+
+class TestWholeGraphStageOne:
+    """Stage one runs on a disconnected graph whole, with no split by component."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(disconnected_inputs())
+    def test_exact_matches_dense_and_replays(self, case):
+        G, alpha = case
+        cfg = SparsifyConfig(epsilon=0.5, second_stage=False, allow_disconnected=True)
+        L = dense_poly(G, alpha)
+        H = sparsify_poly(G, alpha, cfg, RngStream(3))
+        np.testing.assert_allclose(H.adjacency_dense(), np.diag(np.diag(L)) - L, rtol=1e-9, atol=0)
+        assert sparsify_poly(G, alpha, cfg, RngStream(3)) == H
+        with pytest.MonkeyPatch.context() as mp:  # the sampled fixture, inside one example
+            mp.setattr(sparsify, "exact_walk_graph", lambda *args: None)
+            S = sparsify_poly(G, alpha, cfg, RngStream(3))
+            assert sparsify_poly(G, alpha, cfg, RngStream(3)) == S
+
+    @pytest.mark.usefixtures("sampled")
+    def test_sampled_with_isolated_vertices_certifies(self):
+        # vertex 0 and vertices 21, 22 are isolated
+        C = er_graph(20, 0.3, 5)
+        G = WeightedGraph(23, C.edge_u + 1, C.edge_v + 1, C.edge_w)
+        alpha = PolyCoeffs.parse("0.5,0.5")
+        cfg = SparsifyConfig(epsilon=0.5, allow_disconnected=True)
+        H = sparsify_poly(G, alpha, cfg, RngStream(6))
+        rep = similarity_check(H.laplacian_dense(), dense_poly(G, alpha), 0.5)
+        assert rep.passed, rep.as_kv()
