@@ -5,7 +5,10 @@ M_1 = D - 3/4 D(D^-1 A)^2 - 1/4 D(D^-1 A)^3 turns one inverse into another
 whose walk ratio is roughly squared. Iterating until the spectral radius of
 D^-1 A falls below a threshold yields C = F_0 ... F_{K-1} D_K^{-1/2} with
 C C^T close to M^-1; each intermediate cubic polynomial is sparsified as an
-SDDM walk polynomial. The q-th-root analogue expands
+SDDM walk polynomial. The walk ratio rho is exact to rounding at
+n <= DENSE_THRESHOLD and an upper bound above it, never an underestimate:
+the stop test rho < threshold and the eps_bound += rho charge for the
+terminal truncation both rely on it. The q-th-root analogue expands
 (I + X/2q)^{2q} (I - X) into coefficient form by binomial convolution.
 """
 
@@ -15,9 +18,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, ValidationError
-from .graph import PolyCoeffs, SddmMatrix, WeightedGraph
+from .graph import DENSE_THRESHOLD, PolyCoeffs, SddmMatrix, WeightedGraph
 from .sampling import RngStream, substream
 from .sddm import sparsify_sddm
 from .sparsify import SparsifyConfig
@@ -83,23 +88,30 @@ class FactorChain:
 
 
 def spectral_radius(M: SddmMatrix):
-    """200 power-method steps for rho(D^-1 A) via X = D^-1/2 A D^-1/2."""
+    """rho(D^-1 A), the largest |eigenvalue| of X = D^-1/2 A D^-1/2.
+
+    Exact to rounding at n <= DENSE_THRESHOLD (one dense eigvalsh of X);
+    above it an upper bound, theta + ||X v - theta v|| for the top Lanczos
+    Ritz pair (theta, v), or max(A 1 / diag) if Lanczos does not converge.
+    X is nonnegative, so its largest eigenvalue is rho. The value must
+    never read low: inv_sqrt_chain stops once rho is below its threshold
+    and charges rho to eps_bound for the terminal truncation.
+    """
     if M.offdiag.m == 0:
         return 0.0
-    gen = RngStream(17, 0).generator()
     isq = 1.0 / np.sqrt(M.diag)
-    A = M.offdiag.adjacency
-    x = gen.standard_normal(M.n)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(200):
-        y = isq * (A @ (isq * x))
-        nrm = np.linalg.norm(y)
-        if nrm == 0:
-            return 0.0
-        lam = nrm
-        x = y / nrm
-    return float(lam)
+    if M.n <= DENSE_THRESHOLD:
+        X = isq[:, None] * M.offdiag.adjacency_dense() * isq[None, :]
+        return float(np.abs(np.linalg.eigvalsh(X)).max())
+    X = sp.diags(isq) @ M.offdiag.adjacency @ sp.diags(isq)
+    try:
+        # a start vector fixed by M keeps replay exact; ARPACK's own is random
+        theta, v = spla.eigsh(X, k=1, which="LA", v0=np.sqrt(M.diag))
+    except spla.ArpackNoConvergence:
+        # a tight cluster at the top of the spectrum; a norm of D^-1 A still bounds rho
+        return float(np.max(M.offdiag.degree / M.diag))
+    v = v[:, 0] / np.linalg.norm(v)
+    return float(theta[0] + np.linalg.norm(X @ v - theta[0] * v))
 
 
 def newton_sqrt_step(M: SddmMatrix, eps, cfg: SparsifyConfig, rng):

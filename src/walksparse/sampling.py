@@ -11,7 +11,7 @@ does not read w(p), so a walk carries only its endpoints and
 Z(p) = sum_i coeffs[i] / w_i.
 
 A stage samples the prefixes of one layer list: SamplerIndex shares row
-tables across them, and template_mass gives each prefix's total mass
+tables across them, and prefix_masses gives each prefix's total mass
 without building tables. For the monomial layers [A]*r with coefficient 2
 under D = A 1 every absorption vector is exactly one, the pivot edge is
 uniform, and the total over length-r walks is exactly 2 r m. A larger D,
@@ -191,16 +191,15 @@ def _assemble(mats, coeffs, left, right, tables) -> WalkTemplate:
     )
 
 
-def _absorption(layers, coeffs, D):
-    """Validated CSR layers and coefficients, with the absorption vectors under D."""
+def _validated(layers, coeffs, D):
+    """CSR layers, coefficients and D as float arrays, checked against each other."""
     # layers are WeightedGraphs or sparse matrices; a CSR layer is used as is, so
     # equal layers keep one identity across positions and prefixes and share tables
     csr = {}
     mats = [csr.setdefault(id(x), x.adjacency if isinstance(x, WeightedGraph) else x.tocsr()) for x in layers]
-    r = len(mats)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
-    if len(coeffs) != r:
+    if len(coeffs) != len(mats):
         raise ValidationError("one coefficient per layer required")
     if np.any(coeffs <= 0):
         raise ValidationError("coefficients must be positive")
@@ -209,17 +208,32 @@ def _absorption(layers, coeffs, D):
             raise ValidationError(f"layer {j} has an empty edge set")
         if mat.shape != (len(D), len(D)):
             raise ValidationError("layers must share the base vertex set")
+    return mats, coeffs, D
 
-    ones = np.ones(len(D))
-    left = [None] * (r + 1)  # left[i] defined for i = 1..r
-    left[1] = ones
-    for i in range(1, r):
+
+def _left_absorption(mats, D):
+    """left[i] for i = 1..r; left[i] reads only mats[:i-1]."""
+    left = [None] * (len(mats) + 1)
+    left[1] = np.ones(len(D))
+    for i in range(1, len(mats)):
         left[i + 1] = np.divide(mats[i - 1] @ left[i], D, out=np.zeros(len(D)), where=D > 0)
-    right = [None] * (r + 1)  # right[i] defined for i = 1..r
-    right[r] = ones
+    return left
+
+
+def _right_absorption(mats, D):
+    """right[i] for i = 1..r, absorbed from the last layer backwards."""
+    r = len(mats)
+    right = [None] * (r + 1)
+    right[r] = np.ones(len(D))
     for i in range(r - 1, 0, -1):
         right[i] = np.divide(mats[i] @ right[i + 1], D, out=np.zeros(len(D)), where=D > 0)
-    return mats, coeffs, left, right
+    return right
+
+
+def _absorption(layers, coeffs, D):
+    """Validated CSR layers and coefficients, with the absorption vectors under D."""
+    mats, coeffs, D = _validated(layers, coeffs, D)
+    return mats, coeffs, _left_absorption(mats, D), _right_absorption(mats, D)
 
 
 def build_template(layers, coeffs, D) -> WalkTemplate:
@@ -227,11 +241,26 @@ def build_template(layers, coeffs, D) -> WalkTemplate:
     return _assemble(*_absorption(layers, coeffs, D), {})
 
 
+def prefix_masses(layers, coeffs, D, prefixes):
+    """template_mass(layers[:j], coeffs[:j], D) for each j in prefixes.
+
+    The prefixes share one validation and one left chain, as left[i] reads
+    only layers[:i-1]; each keeps its own right chain.
+    """
+    r = max(prefixes)
+    mats, coeffs, D = _validated(layers[:r], coeffs[:r], D)
+    left = _left_absorption(mats, D)
+    masses = []
+    for j in prefixes:
+        right = _right_absorption(mats[:j], D)
+        pivot = [np.repeat(left[i], np.diff(m.indptr)) @ right[i][m.indices] for i, m in enumerate(mats[:j], 1)]
+        masses.append(0.5 * float(coeffs[:j] @ pivot))
+    return masses
+
+
 def template_mass(layers, coeffs, D):
     """tau_total of build_template(layers, coeffs, D), without its tables."""
-    mats, coeffs, left, right = _absorption(layers, coeffs, D)
-    pivot = [np.repeat(left[i], np.diff(m.indptr)) @ right[i][m.indices] for i, m in enumerate(mats, 1)]
-    return 0.5 * float(coeffs @ pivot)
+    return prefix_masses(layers, coeffs, D, [len(layers)])[0]
 
 
 def sample_template_paths(tmpl: WalkTemplate, count, rng, record_vertices=False):

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .errors import InputRefusedError, ValidationError
 from .graph import PolyCoeffs, WeightedGraph
-from .sampling import PathBatch, SamplerIndex, graph_sampling, sample_paths, substream, template_mass
+from .sampling import PathBatch, SamplerIndex, graph_sampling, prefix_masses, sample_paths, substream
 
 log = logging.getLogger(__name__)
 
@@ -112,7 +112,7 @@ def stage_one(layers, coeffs, alpha, D, eps, cfg: SparsifyConfig, rng) -> Weight
     """
     n = len(D)
     prefixes = [j for j, a in enumerate(alpha, start=1) if a > 0]
-    mass = [alpha[j - 1] * template_mass(layers[:j], coeffs[:j], D) for j in prefixes]
+    mass = [alpha[j - 1] * t for j, t in zip(prefixes, prefix_masses(layers, coeffs, D, prefixes))]
     tau = sum(mass)
     M = int(math.ceil(cfg.oversample * _log_n(n) / eps**2 * tau))
     H = exact_walk_graph(layers, D, M, alpha)

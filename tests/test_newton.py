@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -22,10 +23,11 @@ from walksparse import (
     qth_root_reduce_step,
 )
 import walksparse
+from walksparse.graph import DENSE_THRESHOLD
 from walksparse import newton
 from walksparse.newton import NEWTON_ALPHA, AffineFactor, dense_newton_step, spectral_radius
 
-from conftest import random_sddm
+from conftest import path_graph, random_sddm, star_graph
 
 
 class TestQthRootCoefficients:
@@ -195,6 +197,20 @@ class TestInvSqrtChain:
         with pytest.raises(ValidationError, match="walk ratio >= 1"):
             inv_sqrt_chain(M, 0.4)
 
+    def test_chain_bytes_pinned(self):
+        # the newton-chain settings; rho enters only the step count, the stop test
+        # and eps_bound, so the factors and diagonals keep these bytes
+        M = random_sddm(50, 0.15, 1)
+        cfg = SparsifyConfig(epsilon=0.5, oversample=0.3, second_stage=False)
+        chain = inv_sqrt_chain(M, 0.4, cfg=cfg, rng=RngStream(1))
+        h = hashlib.sha256()
+        for f in chain.factors:
+            for a in (f.graph.edge_u, f.graph.edge_v, f.graph.edge_w, f.diag):
+                h.update(a.tobytes())
+        h.update(chain.terminal_diag.tobytes())
+        assert len(chain) == 4
+        assert h.hexdigest() == "ea2af342154a1ed89fb92b88db67d2a5da3a88e32e406c1ea4750fb568f0454b"
+
 
 class TestQthRootReduceStep:
     def test_factors_scale_with_q(self):
@@ -211,13 +227,58 @@ class TestQthRootReduceStep:
         np.testing.assert_array_equal(alpha.alpha, NEWTON_ALPHA.alpha)
 
 
+def _dense_radius(M):
+    isq = 1.0 / np.sqrt(M.diag)
+    X = isq[:, None] * M.offdiag.adjacency_dense() * isq[None, :]
+    return np.max(np.abs(np.linalg.eigvalsh(X)))
+
+
+def _with_slack(G, slack):
+    return SddmMatrix(G.degree + slack, G)
+
+
 class TestSpectralRadius:
     def test_matches_dense(self):
         M = random_sddm(30, 0.3, 9, slack=0.5)
-        isq = 1.0 / np.sqrt(M.diag)
-        X = isq[:, None] * M.offdiag.adjacency_dense() * isq[None, :]
-        truth = np.max(np.abs(np.linalg.eigvalsh(X)))
-        assert spectral_radius(M) == pytest.approx(truth, rel=1e-3)
+        assert spectral_radius(M) == pytest.approx(_dense_radius(M), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            _with_slack(path_graph([1.0] * 39), 1e-3),
+            # K_{4,6}: the spectrum holds -rho as well as rho
+            _with_slack(WeightedGraph.from_edges(10, [(a, b, 1.0) for a in range(4) for b in range(4, 10)]),
+                        1e-3),
+            _with_slack(star_graph(25), 1e-3),
+            # two paths, each with its own slack
+            _with_slack(
+                WeightedGraph.from_edges(40, [(i, i + 1, 1.0) for i in range(19)]
+                                         + [(i, i + 1, 2.0) for i in range(20, 39)]),
+                np.repeat([1e-3, 0.5], 20),
+            ),
+            _with_slack(WeightedGraph.from_edges(2, [(0, 1, 3.0)]), 1e-3),
+        ],
+        ids=["path", "bipartite", "star", "disconnected", "n2"],
+    )
+    def test_never_below_dense(self, M):
+        truth = _dense_radius(M)
+        assert truth <= spectral_radius(M) <= truth * (1 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            np.ones(599),
+            # 58 eigenvalues lie within 1e-9 of the top, which Lanczos does not
+            # resolve; the row-sum bound stands in
+            10 ** np.random.default_rng(0).uniform(-8, 8, 700),
+        ],
+        ids=["path", "wide-weights"],
+    )
+    def test_above_dense_threshold_upper_bound(self, weights):
+        M = _with_slack(path_graph(list(weights)), 1e-3)
+        assert M.n > DENSE_THRESHOLD
+        truth = _dense_radius(M)
+        assert truth <= spectral_radius(M) <= truth * (1 + 1e-8)
 
 
 def test_affine_factor_type_hints_resolve():

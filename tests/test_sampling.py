@@ -14,7 +14,7 @@ from walksparse import (
     sample_template_paths,
 )
 from walksparse.oracle import enumerate_paths
-from walksparse.sampling import _RowTable, template_mass
+from walksparse.sampling import _RowTable, prefix_masses, template_mass
 
 from conftest import er_graph, random_sddm, ring_graph
 
@@ -212,6 +212,20 @@ class TestWalkTemplates:
         t1 = build_template([triangle, triangle], [1.0, 1.0], triangle.degree)
         t2 = build_template([triangle, triangle], [5.0, 5.0], triangle.degree)
         assert t2.tau_total == pytest.approx(5 * t1.tau_total)
+
+    def test_prefix_masses_match_templates(self):
+        # one left chain for all prefixes gives each template's table-built total
+        G = er_graph(20, 0.3, 4, weighted=True)
+        H = er_graph(20, 0.2, 6, weighted=True)
+        M = random_sddm(20, 0.3, 5)
+        for layers, coeffs, D in (
+            ([G] * 4, [2.0] * 4, G.degree),
+            ([M.offdiag] * 3, [2.0] * 3, M.diag),
+            ([G, H, G], [1.0, 3.0, 1.0], G.degree + H.degree),
+        ):
+            prefixes = list(range(1, len(layers) + 1))
+            expected = [build_template(layers[:j], coeffs[:j], D).tau_total for j in prefixes]
+            np.testing.assert_allclose(prefix_masses(layers, coeffs, D, prefixes), expected, rtol=1e-12)
 
     def test_layer_shape_mismatch(self, triangle, single_edge):
         with pytest.raises(ValidationError):
