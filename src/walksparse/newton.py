@@ -6,10 +6,13 @@ whose walk ratio is roughly squared. Iterating until the spectral radius of
 D^-1 A falls below a threshold yields C = F_0 ... F_{K-1} D_K^{-1/2} with
 C C^T close to M^-1; each intermediate cubic polynomial is sparsified as an
 SDDM walk polynomial. The walk ratio rho is exact to rounding at
-n <= DENSE_THRESHOLD and an upper bound above it, never an underestimate:
-the stop test rho < threshold and the eps_bound += rho charge for the
-terminal truncation both rely on it. The q-th-root analogue expands
-(I + X/2q)^{2q} (I - X) into coefficient form by binomial convolution.
+n <= DENSE_THRESHOLD and an upper bound above it (a Lanczos residual
+bound, or where Lanczos does not converge a Collatz-Wielandt bound that
+stays below 1 on every positive definite input): the stop test
+rho < threshold and the eps_bound += rho charge for the terminal
+truncation both need a value that does not read low. The q-th-root
+analogue expands (I + X/2q)^{2q} (I - X) into coefficient form by
+binomial convolution.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ from .sparsify import SparsifyConfig
 
 NEWTON_ALPHA = PolyCoeffs(np.array([0.0, 0.75, 0.25]))
 RHO_THRESHOLD = 0.1
+# spectral_radius above DENSE_THRESHOLD: ARPACK restarts (about 19 matvecs
+# each) before Lanczos gives up, then steps of the inverse-iteration bound
+LANCZOS_RESTARTS = 100
+INVERSE_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -90,12 +97,18 @@ class FactorChain:
 def spectral_radius(M: SddmMatrix):
     """rho(D^-1 A), the largest |eigenvalue| of X = D^-1/2 A D^-1/2.
 
-    Exact to rounding at n <= DENSE_THRESHOLD (one dense eigvalsh of X);
-    above it an upper bound, theta + ||X v - theta v|| for the top Lanczos
-    Ritz pair (theta, v), or max(A 1 / diag) if Lanczos does not converge.
     X is nonnegative, so its largest eigenvalue is rho. The value must
     never read low: inv_sqrt_chain stops once rho is below its threshold
     and charges rho to eps_bound for the terminal truncation.
+
+    At n <= DENSE_THRESHOLD it is exact to rounding (one dense eigvalsh of
+    X). Above it, it is theta + ||X v - theta v|| for the Ritz pair
+    (theta, v) of at most LANCZOS_RESTARTS restarts of Lanczos from
+    sqrt(diag). That bounds the eigenvalue nearest theta, so it bounds rho
+    when Lanczos converged to the top eigenvalue; the positive start vector
+    overlaps the Perron vector, which makes this the expected case, but
+    nothing proves it. Where Lanczos does not converge (the top of the
+    spectrum is clustered), _inverse_iteration_bound answers.
     """
     if M.offdiag.m == 0:
         return 0.0
@@ -106,12 +119,29 @@ def spectral_radius(M: SddmMatrix):
     X = sp.diags(isq) @ M.offdiag.adjacency @ sp.diags(isq)
     try:
         # a start vector fixed by M keeps replay exact; ARPACK's own is random
-        theta, v = spla.eigsh(X, k=1, which="LA", v0=np.sqrt(M.diag))
+        theta, v = spla.eigsh(X, k=1, which="LA", v0=np.sqrt(M.diag), maxiter=LANCZOS_RESTARTS)
     except spla.ArpackNoConvergence:
-        # a tight cluster at the top of the spectrum; a norm of D^-1 A still bounds rho
-        return float(np.max(M.offdiag.degree / M.diag))
+        return _inverse_iteration_bound(M)
     v = v[:, 0] / np.linalg.norm(v)
     return float(theta[0] + np.linalg.norm(X @ v - theta[0] * v))
+
+
+def _inverse_iteration_bound(M: SddmMatrix):
+    """Collatz-Wielandt bound rho(D^-1 A) <= max_i (A y)_i / (diag_i y_i).
+
+    The bound holds for every y > 0. Here y comes from INVERSE_STEPS steps
+    of y <- M^-1 (diag * y) from y = 1, through one sparse LU of M. Then
+    A y = diag * (y - y_prev), so each ratio is 1 - y_prev_i / y_i, below 1
+    on every positive definite M, and the steps tighten it toward rho.
+    """
+    lu = spla.splu(M.matrix().tocsc())
+    y = np.ones(M.n)
+    for _ in range(INVERSE_STEPS):
+        y = lu.solve(M.diag * y)
+        if not np.all(y > 0):
+            return 1.0  # M is not positive definite: its inverse maps diag * y > 0 to y > 0
+        y /= y.max()
+    return float(np.max(M.offdiag.adjacency @ y / (M.diag * y)))
 
 
 def newton_sqrt_step(M: SddmMatrix, eps, cfg: SparsifyConfig, rng):

@@ -242,7 +242,8 @@ def build_template(layers, coeffs, D) -> WalkTemplate:
 
 
 def prefix_masses(layers, coeffs, D, prefixes):
-    """template_mass(layers[:j], coeffs[:j], D) for each j in prefixes.
+    """tau_total of build_template(layers[:j], coeffs[:j], D) for each j in
+    prefixes, without its tables.
 
     The prefixes share one validation and one left chain, as left[i] reads
     only layers[:i-1]; each keeps its own right chain.
@@ -256,11 +257,6 @@ def prefix_masses(layers, coeffs, D, prefixes):
         pivot = [np.repeat(left[i], np.diff(m.indptr)) @ right[i][m.indices] for i, m in enumerate(mats[:j], 1)]
         masses.append(0.5 * float(coeffs[:j] @ pivot))
     return masses
-
-
-def template_mass(layers, coeffs, D):
-    """tau_total of build_template(layers, coeffs, D), without its tables."""
-    return prefix_masses(layers, coeffs, D, [len(layers)])[0]
 
 
 def sample_template_paths(tmpl: WalkTemplate, count, rng, record_vertices=False):

@@ -98,8 +98,9 @@ def exact_walk_graph(layers, D, M, alpha):
             P = P + a * X
     log.info("stage 1 exact: %s multiply-adds <= M = %s", f"{flops:,}", f"{M:,}")
     P = sp.triu(P + P.T, k=1).tocoo()
-    keep = P.data > 0
-    return WeightedGraph(n, P.row[keep], P.col[keep], 0.5 * P.data[keep])
+    w = 0.5 * P.data
+    keep = w > 0  # halving the smallest subnormal gives zero
+    return WeightedGraph(n, P.row[keep], P.col[keep], w[keep])
 
 
 def stage_one(layers, coeffs, alpha, D, eps, cfg: SparsifyConfig, rng) -> WeightedGraph:

@@ -7,8 +7,10 @@ import typing
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from walksparse import (
+    ConvergenceError,
     PolyCoeffs,
     RngStream,
     SddmMatrix,
@@ -237,6 +239,16 @@ def _with_slack(G, slack):
     return SddmMatrix(G.degree + slack, G)
 
 
+@pytest.fixture
+def no_lanczos(monkeypatch):
+    """ARPACK that never converges, so spectral_radius takes its fallback."""
+
+    def eigsh(X, *args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((X.shape[0], 0)))
+
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+
+
 class TestSpectralRadius:
     def test_matches_dense(self):
         M = random_sddm(30, 0.3, 9, slack=0.5)
@@ -269,7 +281,7 @@ class TestSpectralRadius:
         [
             np.ones(599),
             # 58 eigenvalues lie within 1e-9 of the top, which Lanczos does not
-            # resolve; the row-sum bound stands in
+            # resolve; the inverse-iteration bound answers
             10 ** np.random.default_rng(0).uniform(-8, 8, 700),
         ],
         ids=["path", "wide-weights"],
@@ -278,7 +290,60 @@ class TestSpectralRadius:
         M = _with_slack(path_graph(list(weights)), 1e-3)
         assert M.n > DENSE_THRESHOLD
         truth = _dense_radius(M)
-        assert truth <= spectral_radius(M) <= truth * (1 + 1e-8)
+        # the dense eigvalsh rounds too: on wide-weights it reads 3e-16 above
+        # the Collatz-Wielandt bound, which a Sturm count at 60 digits confirms
+        assert truth * (1 - 1e-15) <= spectral_radius(M) <= truth * (1 + 1e-8)
+
+    def test_one_slack_vertex_above_dense_threshold(self, monkeypatch):
+        # a grounded wide-weight path: every row but one has zero slack, so
+        # the row sums read 1, and Lanczos does not converge
+        G = path_graph(list(10 ** np.random.default_rng(0).uniform(-2, 2, 700)))
+        M = SddmMatrix(G.degree + np.eye(G.n)[350], G)
+        calls = []
+        real = newton._inverse_iteration_bound
+        monkeypatch.setattr(newton, "_inverse_iteration_bound", lambda M: calls.append(M.n) or real(M))
+        truth = _dense_radius(M)
+        rho = spectral_radius(M)
+        assert calls == [G.n]
+        assert np.max(M.offdiag.degree / M.diag) == 1.0
+        assert truth * (1 - 1e-15) <= rho < 1
+        assert rho <= truth * (1 + 1e-9)
+        # the chain takes it: one step, then the iteration cap
+        with pytest.raises(ConvergenceError):
+            inv_sqrt_chain(M, 0.4, max_iters=1)
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            _with_slack(path_graph([1.0] * 599), 1e-3),
+            # K_{300,300} with slack on one vertex: the spectrum holds -rho
+            _with_slack(WeightedGraph.from_edges(600, [(a, b, 1.0) for a in range(0, 600, 2)
+                                                       for b in range(1, 600, 2)]), np.eye(600)[0]),
+            # a star grounded at its centre beside a path with its own slack
+            _with_slack(WeightedGraph.from_edges(600, [(0, i, 1.0) for i in range(1, 300)]
+                                                 + [(i, i + 1, 2.0) for i in range(300, 599)]),
+                        np.r_[1.0, np.zeros(299), np.full(300, 0.5)]),
+        ],
+        ids=["path", "bipartite", "disconnected"],
+    )
+    @pytest.mark.usefixtures("no_lanczos")
+    def test_inverse_iteration_bound(self, M):
+        truth = _dense_radius(M)
+        assert truth * (1 - 1e-15) <= spectral_radius(M) < 1
+
+    @pytest.mark.usefixtures("no_lanczos")
+    def test_inverse_iteration_bound_not_positive_definite(self):
+        # weight-10 path whose diagonal sits inside the dominance tolerance but
+        # below the degree on all vertices but one: validation accepts it, yet
+        # no y > 0 has M y > 0, so the bound reads 1 and the chain refuses it
+        G = path_graph([10.0] * 599)
+        diag = G.degree - 8e-12
+        diag[0] = G.degree[0] + 5e-11
+        M = SddmMatrix(diag, G)
+        assert _dense_radius(M) > 1
+        assert spectral_radius(M) == 1.0
+        with pytest.raises(ValidationError, match="walk ratio >= 1"):
+            inv_sqrt_chain(M, 0.4)
 
 
 def test_affine_factor_type_hints_resolve():

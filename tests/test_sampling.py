@@ -14,7 +14,7 @@ from walksparse import (
     sample_template_paths,
 )
 from walksparse.oracle import enumerate_paths
-from walksparse.sampling import _RowTable, prefix_masses, template_mass
+from walksparse.sampling import _RowTable, prefix_masses
 
 from conftest import er_graph, random_sddm, ring_graph
 
@@ -174,7 +174,7 @@ class TestGraphSampling:
         cfg = SparsifyConfig(epsilon=1.0, oversample=3502.0, second_stage=False)  # M just above 400,000
         H = sparsify.stage_one(layers, [2.0] * 3, alpha.alpha, M.diag, 1.0, cfg, RngStream(9))
         # the mixture's total is the D-normalised mass, below the 2 r m sum of D = A 1
-        tau = sum(a * template_mass(layers[:r], [2.0] * r, M.diag) for r, a in enumerate(alpha.alpha, start=1))
+        tau = sum(a * t for a, t in zip(alpha.alpha, prefix_masses(layers, [2.0] * 3, M.diag, [1, 2, 3])))
         assert seen["tau"] == pytest.approx(tau, rel=1e-12)
         assert tau < sum(a * 2.0 * r * M.offdiag.m for r, a in enumerate(alpha.alpha, start=1))
         assert seen["count"] >= 400000

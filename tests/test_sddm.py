@@ -19,7 +19,7 @@ from walksparse import (
     sparsify_sddm,
 )
 from walksparse.oracle import generalized_eigenvalues
-from walksparse.sampling import template_mass
+from walksparse.sampling import prefix_masses
 
 from conftest import er_graph, random_sddm
 
@@ -159,7 +159,8 @@ class TestSparsifySddm:
         sparsify_sddm(M, alpha, cfg, RngStream(4))
         scale = cfg.oversample * math.log(M.n) / cfg.eps_stage_one**2
         layers = [G.adjacency] * 3
-        tau = sum(a * template_mass(layers[:r], [2.0] * r, M.diag) for r, a in enumerate(alpha.alpha, start=1) if a > 0)
+        masses = prefix_masses(layers, [2.0] * 3, M.diag, [1, 2, 3])
+        tau = sum(a * t for a, t in zip(alpha.alpha, masses) if a > 0)
         closed_form = sum(a * 2.0 * r * G.m for r, a in enumerate(alpha.alpha, start=1))
         assert counts == [math.ceil(scale * tau)]
         assert 3 * counts[0] < math.ceil(scale * closed_form)

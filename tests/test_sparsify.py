@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from walksparse import (
     sparsify_poly,
 )
 from walksparse import sparsify
-from walksparse.sampling import template_mass
+from walksparse.sampling import prefix_masses
 from walksparse.sparsify import stage_two_edge_budget
 
 from conftest import barbell_graph, er_graph, path_graph, ring_graph, star_graph
@@ -31,7 +32,8 @@ from conftest import barbell_graph, er_graph, path_graph, ring_graph, star_graph
 
 def stage_one_budget(G, alpha, cfg):
     """M = ceil(c_s ln n / eps1^2 * sum_r alpha_r tau_r), tau_r the mass of [A]*r under D = A 1."""
-    tau = sum(a * template_mass([G] * r, [2.0] * r, G.degree) for r, a in enumerate(alpha.alpha, start=1) if a > 0)
+    masses = prefix_masses([G] * alpha.d, [2.0] * alpha.d, G.degree, range(1, alpha.d + 1))
+    tau = sum(a * t for a, t in zip(alpha.alpha, masses) if a > 0)
     return math.ceil(cfg.oversample * math.log(G.n) / cfg.eps_stage_one**2 * tau)
 
 
@@ -215,6 +217,13 @@ class TestExactRoute:
         assert "stage 1 exact" in caplog.text
         rep = similarity_check(H.laplacian_dense(), dense_poly(G, alpha), 1e-9)
         assert rep.eps_required <= 1e-9, rep.as_kv()
+
+    def test_subnormal_half_weight_dropped(self):
+        # an entry of P the size of the smallest subnormal, with a zero mirror,
+        # halves to zero: it is dropped, not passed on as a zero edge weight
+        L = sp.csr_matrix(([np.nextafter(0.0, 1.0), 1.0, 1.0], ([0, 1, 2], [1, 2, 1])), shape=(3, 3))
+        H = sparsify.exact_walk_graph([L], np.ones(3), 10, [1.0])
+        assert (H.edge_u.tolist(), H.edge_v.tolist(), H.edge_w.tolist()) == ([1], [2], [1.0])
 
     def test_route_logged_with_both_numbers(self, caplog):
         G = er_graph(30, 0.2, 22)
