@@ -6,7 +6,7 @@ whenever the nonnegative coefficients sum to one. This package builds
 sparse spectral approximations of such matrices by sampling random walks
 guided by effective-resistance upper bounds, composes them into
 high-degree even monomials, extends the machinery to SDDM matrices, and
-applies it to Newton-style inverse square-root and q-th-root factorizations.
+applies it to Newton-style inverse square-root chains and q-th-root steps.
 A dense brute-force oracle backs every construction for verification.
 """
 
@@ -27,24 +27,13 @@ from .graph import (
     save_sddm,
 )
 from .highdegree import DegreeSchedule, MonomialApprox, schedule, sparsify_high_degree
-from .newton import (
-    FactorChain,
-    inv_sqrt_chain,
-    middle_poly_value,
-    newton_sqrt_step,
-    qth_root_coefficients,
-    qth_root_reduce_step,
-)
+from .newton import FactorChain, inv_sqrt_chain, newton_sqrt_step, qth_root_coefficients
 from .oracle import (
     SimilarityReport,
     dense_monomial,
     dense_poly,
     enumerate_paths,
-    exact_er,
-    exact_er_matrix,
-    scalar_inequality_suite,
     similarity_check,
-    support_check,
     total_enumerated_mass,
 )
 from .resistance import ErOracle, er_oracle_build, estimate_er, resparsify
@@ -87,30 +76,24 @@ __all__ = [
     "enumerate_paths",
     "er_oracle_build",
     "estimate_er",
-    "exact_er",
-    "exact_er_matrix",
     "extra_diagonal",
     "graph_sampling",
     "inv_sqrt_chain",
     "load_graph",
     "load_sddm",
-    "middle_poly_value",
     "newton_sqrt_step",
     "qth_root_coefficients",
-    "qth_root_reduce_step",
     "resparsify",
     "sample_paths",
     "sample_template_paths",
     "save_graph",
     "save_sddm",
-    "scalar_inequality_suite",
     "schedule",
     "similarity_check",
     "sparsify_high_degree",
     "sparsify_monomial",
     "sparsify_poly",
     "sparsify_sddm",
-    "support_check",
     "total_enumerated_mass",
     "__version__",
 ]

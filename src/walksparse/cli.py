@@ -91,7 +91,6 @@ def build_parser():
     iv = sub.add_parser("inv-sqrt", help="inverse square-root factor chain")
     _common(iv, graph_input=False)
     iv.add_argument("--max-iters", type=int, default=40)
-    iv.add_argument("--dense", action="store_true", help="exact dense steps (no sparsification)")
 
     qr = sub.add_parser("qth-root", help="q-th root reduction step")
     _common(qr, graph_input=False)
@@ -109,7 +108,6 @@ def build_parser():
     vf.add_argument("-b", "--original", required=True)
     vf.add_argument("--alpha", required=True, type=_alpha_arg)
     vf.add_argument("--eps", type=float, required=True)
-    vf.add_argument("--against", choices=["dense"], default="dense")
     vf.add_argument("--format", choices=["matrix-market", "edge-list"], default=None)
 
     en = sub.add_parser("enumerate", help="exhaustively list length-r walks")
@@ -207,7 +205,7 @@ def _run_inv_sqrt(args):
     cfg = _cfg(args)
     t0 = time.perf_counter()
     chain = inv_sqrt_chain(M, args.eps, max_iters=args.max_iters,
-                           cfg=cfg, rng=RngStream(args.seed), dense=args.dense)
+                           cfg=cfg, rng=RngStream(args.seed))
     wall = time.perf_counter() - t0
     os.makedirs(args.output, exist_ok=True)
     files = []
@@ -250,10 +248,11 @@ def _run_resistance(args):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValidationError(f"query line must be 'u v', got {line!r}")
-            u, v = int(parts[0]), int(parts[1])
+            try:
+                u, v = (int(p) for p in line.split())
+            except ValueError:
+                raise ValidationError(
+                    f"query line must be 'u v' with integer ids, got {line!r}") from None
             print(f"{oracle.query(u, v):.12g}")
     finally:
         if args.queries:

@@ -164,8 +164,8 @@ class PolyCoeffs:
         object.__setattr__(self, "alpha", a)
         if a.ndim != 1 or len(a) < 1:
             raise ValidationError("coefficient vector must be 1-d and nonempty")
-        if np.any(a < 0):
-            raise ValidationError("coefficients must be nonnegative")
+        if not np.all(a >= 0):  # false on NaN, which a < 0 and the sum test both let through
+            raise ValidationError("coefficients must be nonnegative numbers")
         if abs(a.sum() - 1.0) > 1e-12:
             raise ValidationError(f"coefficients must sum to 1 (got {a.sum()!r})")
 

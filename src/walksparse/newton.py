@@ -1,18 +1,18 @@
-"""Inverse square-root factor chains and q-th-root reduction.
+"""Inverse square-root factor chains and the q-th-root middle polynomial.
 
 The identity M^-1 = (I + 1/2 D^-1 A) M_1^-1 (I + 1/2 A D^-1) with
 M_1 = D - 3/4 D(D^-1 A)^2 - 1/4 D(D^-1 A)^3 turns one inverse into another
 whose walk ratio is roughly squared. Iterating until the spectral radius of
 D^-1 A falls below a threshold yields C = F_0 ... F_{K-1} D_K^{-1/2} with
-C C^T close to M^-1; each intermediate cubic polynomial is sparsified as an
-SDDM walk polynomial. The walk ratio rho is exact to rounding at
-n <= DENSE_THRESHOLD and an upper bound above it (a Lanczos residual
-bound, or where Lanczos does not converge a Collatz-Wielandt bound that
-stays below 1 on every positive definite input): the stop test
-rho < threshold and the eps_bound += rho charge for the terminal
-truncation both need a value that does not read low. The q-th-root
-analogue expands (I + X/2q)^{2q} (I - X) into coefficient form by
-binomial convolution.
+C C^T close to M^-1. Each step's cubic goes through sparsify_sddm, whose
+stage one forms it exactly whenever the sparse products cost at most the
+walks. The walk ratio rho is exact to rounding at n <= DENSE_THRESHOLD and an
+upper bound above it (a Lanczos residual bound, or where Lanczos does not
+converge a Collatz-Wielandt bound that stays below 1 on every positive
+definite input): the stop test rho < threshold and the eps_bound += rho
+charge for the terminal truncation both need a value that does not read
+low. qth_root_coefficients expands the q-th-root analogue
+(I + X/2q)^{2q} (I - X) into coefficient form by binomial convolution.
 """
 
 from __future__ import annotations
@@ -154,22 +154,12 @@ def newton_sqrt_step(M: SddmMatrix, eps, cfg: SparsifyConfig, rng):
     return factor, res.sddm()
 
 
-def dense_newton_step(M: SddmMatrix):
-    """Exact cubic step for convergence studies (no sparsification)."""
-    from .oracle import dense_poly
-
-    factor = AffineFactor(diag=M.diag, graph=M.offdiag)
-    nxt = SddmMatrix.from_dense(dense_poly(M, NEWTON_ALPHA))
-    return factor, nxt
-
-
 def inv_sqrt_chain(
     M: SddmMatrix,
     eps_total,
     max_iters=40,
     cfg: SparsifyConfig = None,
     rng=None,
-    dense=False,
 ) -> FactorChain:
     """Build C with C C^T close to M^-1 within the requested budget.
 
@@ -204,13 +194,9 @@ def inv_sqrt_chain(
         chain.rho_history.append(rho)
         if rho < threshold:
             chain.terminal_diag = cur.diag.copy()
-            chain.eps_bound = min(1.0, len(chain.factors) * eps_step * (0 if dense else 1) + rho)
+            chain.eps_bound = min(1.0, len(chain.factors) * eps_step + rho)
             return chain
-        sub = substream(rng, 300 + k)
-        if dense:
-            factor, cur = dense_newton_step(cur)
-        else:
-            factor, cur = newton_sqrt_step(cur, eps_step, cfg, sub)
+        factor, cur = newton_sqrt_step(cur, eps_step, cfg, substream(rng, 300 + k))
         chain.factors.append(factor)
     raise ConvergenceError(
         f"inverse-sqrt chain did not reach walk ratio {threshold:.3g} in {max_iters} steps",
@@ -234,20 +220,3 @@ def qth_root_coefficients(q) -> PolyCoeffs:
             f"q={q}: middle polynomial has a negative coefficient; step refused"
         )
     return PolyCoeffs(np.maximum(alpha, 0.0))
-
-
-def middle_poly_value(q, x):
-    """Scalar evaluation (1 + x/2q)^{2q} (1 - x) of the middle polynomial."""
-    return (1.0 + x / (2 * q)) ** (2 * q) * (1.0 - x)
-
-
-def qth_root_reduce_step(M: SddmMatrix, q):
-    """Outer factors (I + 1/2q D^-1 A) and the reduced polynomial spec.
-
-    The middle (2q+1)-degree polynomial is returned in coefficient form for
-    sparsification; q = 1 reproduces the cubic (0, 3/4, 1/4).
-    """
-    alpha = qth_root_coefficients(q)
-    # AffineFactor applies I + 1/2 diag^-1 A; diag = qD makes that I + X/2q.
-    qfactor = AffineFactor(diag=M.diag * float(q), graph=M.offdiag)
-    return (qfactor, qfactor), alpha

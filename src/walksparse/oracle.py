@@ -1,8 +1,9 @@
 """Brute-force ground truth: dense polynomial evaluation, spectral similarity
-certification, exact effective resistances, support brackets, and exhaustive
-walk enumeration.
+certification, and exhaustive walk enumeration.
 
 Everything here is dense and intended for small instances (n <= 512).
+Exact effective resistances come from ErOracle (resistance.py), whose
+grounded dense inverse is the one exact method in the package.
 """
 
 from __future__ import annotations
@@ -132,71 +133,6 @@ def similarity_check(X, Y, eps, rank_rtol=RANK_RTOL):
     )
 
 
-def exact_er(L, u, v, rank_rtol=RANK_RTOL):
-    """(e_u - e_v)^T L^+ (e_u - e_v) via dense pseudoinverse.
-
-    Returns math.inf when u and v lie in different components.
-    """
-    L = np.asarray(L, dtype=np.float64)
-    n = L.shape[0]
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValidationError("vertex out of range")
-    if u == v:
-        return 0.0
-    w, V = np.linalg.eigh(0.5 * (L + L.T))
-    cut = rank_rtol * max(np.abs(w).max(), 1e-300)
-    b = np.zeros(n)
-    b[u], b[v] = 1.0, -1.0
-    coeff = V.T @ b
-    ker = np.abs(w) <= cut
-    if np.any(np.abs(coeff[ker]) > 1e-8):
-        return math.inf
-    rng = ~ker
-    return float(np.sum(coeff[rng] ** 2 / w[rng]))
-
-
-def exact_er_matrix(L, rank_rtol=RANK_RTOL):
-    """All-pairs effective resistances from the pseudoinverse Gram identity."""
-    Lp = np.linalg.pinv(np.asarray(L, dtype=np.float64), rcond=rank_rtol)
-    d = np.diag(Lp)
-    return d[:, None] + d[None, :] - Lp - Lp.T
-
-
-@dataclass
-class SupportReport:
-    """Pencil eigenvalue range vs the bracket [lower, upper] it must sit in."""
-
-    lambda_min: float
-    lambda_max: float
-    lower: float
-    upper: float
-    slack: float
-
-    @property
-    def passed(self):
-        return self.lambda_min >= self.lower - self.slack and self.lambda_max <= self.upper + self.slack
-
-
-def support_check(G: WeightedGraph, r, slack=1e-9, threshold=DENSE_THRESHOLD):
-    """Certify the parity support bracket of the r-step walk Laplacian:
-    [1/2, r] against L_G for odd r, [1, r/2] against L_{G_2} for even r."""
-    if G.n > threshold:
-        raise ValidationError(f"dense oracle limited to n <= {threshold}")
-    Lr = dense_monomial(G, r)
-    if r % 2 == 1:
-        base = G.laplacian_dense()
-        lo, hi = 0.5, float(r)
-    else:
-        base = dense_monomial(G, 2)
-        lo, hi = 1.0, r / 2.0
-    vals, _ = generalized_eigenvalues(Lr, base)
-    if len(vals) == 0:
-        lam_min, lam_max = lo, lo
-    else:
-        lam_min, lam_max = float(vals.min()), float(vals.max())
-    return SupportReport(lam_min, lam_max, lo, hi, slack)
-
-
 @dataclass(frozen=True)
 class EnumeratedPath:
     vertices: tuple
@@ -251,40 +187,3 @@ def enumerate_paths(G: WeightedGraph, r, max_n=8, max_r=5):
 def total_enumerated_mass(paths):
     """Sum of w(p) Z(p) over direction-identified walks; equals 2 r m."""
     return 0.5 * sum(p.mass for p in paths)
-
-
-def canonical_path_masses(paths):
-    """Aggregate directed walks into canonical (direction-free) walks.
-
-    Returns dict mapping canonical vertex tuple -> mass, where palindromic
-    walks carry half their directed mass so the totals sum to 2 r m.
-    """
-    masses = {}
-    for p in paths:
-        key = min(p.vertices, p.vertices[::-1])
-        masses[key] = masses.get(key, 0.0) + 0.5 * p.mass
-    return masses
-
-
-def scalar_inequality_suite(grid_points=10**4, max_r=64):
-    """Scalar support inequalities on a lambda grid; returns True iff clean.
-
-    Checks, for lambda in (-1, 1):
-      0.5 (1 - x) <= 1 - x^(2r+1) <= (2r+1)(1 - x)
-      (1 - x^2)   <= 1 - x^(2r)   <= r (1 - x^2)
-      1 - x^(4r+2) <= (1 + 1/(2r)) (1 - x^(4r))
-    """
-    lam = np.linspace(-1.0, 1.0, grid_points + 2)[1:-1]
-    tol = 1e-12
-    for r in range(1, max_r + 1):
-        odd = 1.0 - lam ** (2 * r + 1)
-        if np.any(odd < 0.5 * (1 - lam) - tol) or np.any(odd > (2 * r + 1) * (1 - lam) + tol):
-            return False
-        even = 1.0 - lam ** (2 * r)
-        if np.any(even < (1 - lam**2) - tol) or np.any(even > r * (1 - lam**2) + tol):
-            return False
-        slacked = 1.0 - lam ** (4 * r + 2)
-        base = 1.0 - lam ** (4 * r)
-        if np.any(slacked < base - tol) or np.any(slacked > (1 + 1 / (2 * r)) * base + tol):
-            return False
-    return True

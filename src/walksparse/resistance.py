@@ -77,6 +77,11 @@ def _sketch_width(n, delta):
     return int(math.ceil(24 * math.log(max(n, 2)) / delta**2))
 
 
+def _check_delta(delta):
+    if not (0 < delta < math.inf):
+        raise ValidationError(f"resistance error delta must be positive and finite, got {delta!r}")
+
+
 def _default_method(n, delta):
     """Exact unless n exceeds both DENSE_THRESHOLD and the sketch width.
 
@@ -132,6 +137,7 @@ class ErOracle:
     or, if _default_method picks the sketch, within (1 + delta)^2 w.h.p."""
 
     def __init__(self, H: WeightedGraph, delta, rng=None):
+        _check_delta(delta)
         if not H.is_connected():
             raise InputRefusedError("effective-resistance estimation needs a connected graph")
         self.graph = H
@@ -228,6 +234,7 @@ def er_oracle_build(
     R~ / R within e^eps (1 + delta) on both sides. A disconnected sparsifier
     is refused, since resistances across its components are infinite.
     """
+    _check_delta(delta)  # before the sparsifier is built, not after
     if cfg is None:
         cfg = SparsifyConfig(epsilon=eps)
     H = sparsify_poly(G, alpha, cfg, rng)

@@ -50,8 +50,8 @@ class SparsifyConfig:
     def __post_init__(self):
         if not (0 < self.epsilon <= 1):
             raise ValidationError("epsilon must lie in (0, 1]")
-        if self.oversample <= 0:
-            raise ValidationError("oversample constant must be positive")
+        if not (0 < self.oversample < math.inf):
+            raise ValidationError("oversample constant must be positive and finite")
 
     @property
     def eps_stage_one(self):

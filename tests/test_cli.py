@@ -51,6 +51,17 @@ class TestExitCodes:
                      "-o", str(tmp_path / "x.mtx")])
         assert code == 2
 
+    @pytest.mark.parametrize("alpha", ["0.5,nan", "nan"])
+    def test_usage_error_nan_alpha(self, tri_file, tmp_path, alpha):
+        out = tmp_path / "x.mtx"
+        assert main(["sparsify-poly", "-i", tri_file, "--alpha", alpha, "-o", str(out)]) == 2
+        assert not out.exists()
+
+    def test_removed_options_are_usage_errors(self, sddm_file, tri_file, tmp_path):
+        assert main(["inv-sqrt", "-i", sddm_file, "--dense", "-o", str(tmp_path / "chain")]) == 2
+        assert main(["verify", "-a", tri_file, "-b", tri_file, "--alpha", "1", "--eps", "0.5",
+                     "--against", "dense"]) == 2
+
     def test_usage_error_no_subcommand(self):
         assert main([]) == 2
 
@@ -69,6 +80,25 @@ class TestExitCodes:
         code = main(["sparsify-poly", "-i", str(p), "-o", str(out), "--alpha", "0.5,0.5"])
         assert code == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("cs", ["nan", "inf"])
+    def test_nonfinite_oversample_is_invalid_input(self, tri_file, tmp_path, capsys, cs):
+        code = main(["sparsify-poly", "-i", tri_file, "--alpha", "1", "--cs", cs,
+                     "-o", str(tmp_path / "x.mtx")])
+        assert code == 3
+        assert "oversample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", ["0", "-1", "nan", "inf"])
+    def test_bad_delta_is_invalid_input(self, tri_file, capsys, delta):
+        assert main(["resistance", "-i", tri_file, "--delta", delta]) == 3
+        assert "delta" in capsys.readouterr().err
+
+    def test_non_integer_query_is_invalid_input(self, tri_file, tmp_path, capsys):
+        q = tmp_path / "queries.txt"
+        q.write_text("0 1\na b\n")
+        code = main(["resistance", "-i", tri_file, "--queries", str(q)])
+        assert code == 3
+        assert "'a b'" in capsys.readouterr().err
 
     def test_refused_disconnected(self, tmp_path):
         G = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import math
 import os
 import subprocess
@@ -19,17 +20,16 @@ from walksparse import (
     WeightedGraph,
     dense_poly,
     inv_sqrt_chain,
-    middle_poly_value,
     newton_sqrt_step,
     qth_root_coefficients,
-    qth_root_reduce_step,
 )
 import walksparse
 from walksparse.graph import DENSE_THRESHOLD
 from walksparse import newton
-from walksparse.newton import NEWTON_ALPHA, AffineFactor, dense_newton_step, spectral_radius
+from walksparse.newton import NEWTON_ALPHA, AffineFactor, spectral_radius
 
 from conftest import path_graph, random_sddm, star_graph
+from references import middle_poly_value
 
 
 class TestQthRootCoefficients:
@@ -96,9 +96,6 @@ class TestNewtonSqrtStep:
     def test_2x2_dense_cubic(self):
         M = SddmMatrix.from_dense(np.array([[3.0, -1.0], [-1.0, 3.0]]))
         expected = dense_poly(M, NEWTON_ALPHA)
-        _, nxt = dense_newton_step(M)
-        np.testing.assert_allclose(nxt.dense(), expected, atol=1e-12)
-        # sparsified version stays within the bracket
         _, approx = newton_sqrt_step(M, 0.3, SparsifyConfig(epsilon=0.3), RngStream(1))
         vals = np.linalg.eigvalsh(np.linalg.solve(expected, approx.dense()))
         assert math.exp(-0.35) <= vals.min() and vals.max() <= math.exp(0.35)
@@ -122,9 +119,12 @@ class TestInvSqrtChain:
         assert lo == pytest.approx(1.0, abs=1e-12)
         assert hi == pytest.approx(1.0, abs=1e-12)
 
-    def test_dense_mode_quadratic_convergence(self):
+    def test_dense_mode_quadratic_convergence(self, caplog):
         M = random_sddm(40, 0.25, 0, slack=0.5)
-        chain = inv_sqrt_chain(M, 0.2, dense=True)
+        with caplog.at_level(logging.INFO, logger="walksparse"):
+            chain = inv_sqrt_chain(M, 0.2)
+        # stage one formed every cubic exactly, so the rate is the cubic's own
+        assert caplog.text.count("stage 1 ") == caplog.text.count("stage 1 exact") == len(chain)
         rho = chain.rho_history
         # once contraction kicks in, log-errors at least ~square each step
         tail = [r for r in rho if r < 0.7]
@@ -134,7 +134,7 @@ class TestInvSqrtChain:
 
     def test_dense_mode_bracket(self):
         M = random_sddm(50, 0.15, 1, slack=0.5)
-        chain = inv_sqrt_chain(M, 0.2, dense=True)
+        chain = inv_sqrt_chain(M, 0.2)
         lo, hi = chain.bracket(M)
         assert 0.8 <= lo and hi <= 1.2
 
@@ -142,7 +142,7 @@ class TestInvSqrtChain:
         M = random_sddm(40, 0.2, 2, slack=0.5)
         widths = []
         for eps in (0.4, 0.2, 0.1):
-            lo, hi = inv_sqrt_chain(M, eps, dense=True).bracket(M)
+            lo, hi = inv_sqrt_chain(M, eps).bracket(M)
             widths.append(max(1 - lo, hi - 1))
         assert widths[0] >= widths[1] >= widths[2]
 
@@ -156,7 +156,7 @@ class TestInvSqrtChain:
 
     def test_chain_application_linear(self):
         M = random_sddm(30, 0.25, 4, slack=0.5)
-        chain = inv_sqrt_chain(M, 0.2, dense=True)
+        chain = inv_sqrt_chain(M, 0.2)
         gen = np.random.default_rng(0)
         x, y = gen.standard_normal((2, M.n))
         a, b = 1.7, -0.3
@@ -168,7 +168,7 @@ class TestInvSqrtChain:
 
     def test_dense_chain_matches_apply(self):
         M = random_sddm(20, 0.3, 5, slack=0.5)
-        chain = inv_sqrt_chain(M, 0.2, dense=True)
+        chain = inv_sqrt_chain(M, 0.2)
         x = np.random.default_rng(1).standard_normal(M.n)
         np.testing.assert_allclose(chain.dense() @ x, chain.apply(x), rtol=1e-10)
         np.testing.assert_allclose(chain.dense().T @ x, chain.apply_t(x), rtol=1e-10)
@@ -177,7 +177,7 @@ class TestInvSqrtChain:
         calls = []
         monkeypatch.setattr(newton, "spectral_radius", lambda M: calls.append(M) or spectral_radius(M))
         M = random_sddm(30, 0.25, 4, slack=0.5)
-        chain = inv_sqrt_chain(M, 0.2, dense=True)
+        chain = inv_sqrt_chain(M, 0.2)
         assert len(calls) == len(chain.rho_history) > 1
         assert calls[0] is M
 
@@ -215,18 +215,8 @@ class TestInvSqrtChain:
 
 
 class TestQthRootReduceStep:
-    def test_factors_scale_with_q(self):
-        M = random_sddm(10, 0.4, 7)
-        (left, right), alpha = qth_root_reduce_step(M, 2)
-        x = np.random.default_rng(2).standard_normal(M.n)
-        expected = x + (M.offdiag.adjacency @ x) / (4 * M.diag)
-        np.testing.assert_allclose(left.apply(x), expected, rtol=1e-12)
-        assert alpha.d == 5
-
     def test_q1_matches_newton_alpha(self):
-        M = random_sddm(10, 0.4, 8)
-        _, alpha = qth_root_reduce_step(M, 1)
-        np.testing.assert_array_equal(alpha.alpha, NEWTON_ALPHA.alpha)
+        np.testing.assert_array_equal(qth_root_coefficients(1).alpha, NEWTON_ALPHA.alpha)
 
 
 def _dense_radius(M):

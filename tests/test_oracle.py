@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 
 from walksparse import (
+    ErOracle,
     PolyCoeffs,
     ValidationError,
     WeightedGraph,
     dense_monomial,
     dense_poly,
     enumerate_paths,
-    exact_er,
-    exact_er_matrix,
-    scalar_inequality_suite,
     similarity_check,
-    support_check,
 )
-from walksparse.oracle import canonical_path_masses, total_enumerated_mass
+from walksparse.oracle import total_enumerated_mass
 
 from conftest import er_graph, path_graph, ring_graph, star_graph
+from references import canonical_path_masses, scalar_inequality_suite, support_check
 
 
 class TestDensePoly:
@@ -87,13 +85,17 @@ class TestSimilarityCheck:
 
 
 class TestExactEr:
+    """Closed forms that ErOracle's exact (grounded inverse) resistances meet."""
+
     def test_unit_triangle(self, triangle):
-        assert exact_er(triangle.laplacian_dense(), 0, 1) == pytest.approx(2 / 3)
+        oracle = ErOracle(triangle, 0.2)
+        assert oracle.method == "dense-exact"
+        assert oracle.query(0, 1) == pytest.approx(2 / 3)
 
     def test_series_law(self):
         # conductances 1 and 1/2 give resistances 1 and 2 in series
         G = path_graph([1.0, 0.5])
-        assert exact_er(G.laplacian_dense(), 0, 2) == pytest.approx(3.0)
+        assert ErOracle(G, 0.2).query(0, 2) == pytest.approx(3.0)
 
     def test_rank_one_formula(self):
         # L = D - a a^T / s with D = diag(a) * s_scale has closed-form ER
@@ -102,29 +104,19 @@ class TestExactEr:
         s = a.sum()
         d = 1.7
         L = np.diag(d * a) - d * np.outer(a, a) / s
+        oracle = ErOracle(WeightedGraph.from_dense(-L), 0.2)
         for i, j in [(0, 1), (2, 5), (3, 4)]:
             expected = (1.0 / d) * (1.0 / a[i] + 1.0 / a[j])
-            assert exact_er(L, i, j) == pytest.approx(expected, rel=1e-9)
-
-    def test_cross_component_infinite(self):
-        G = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        assert exact_er(G.laplacian_dense(), 0, 2) == math.inf
+            assert oracle.query(i, j) == pytest.approx(expected, rel=1e-9)
 
     def test_triangle_inequality(self):
         G = er_graph(12, 0.4, 6, weighted=True)
-        R = exact_er_matrix(G.laplacian_dense())
+        oracle = ErOracle(G, 0.2)
         n = G.n
         for u in range(n):
             for v in range(n):
                 for w in range(n):
-                    assert R[u, v] <= R[u, w] + R[w, v] + 1e-9
-
-    def test_matrix_matches_pairwise(self):
-        G = er_graph(10, 0.4, 7, weighted=True)
-        L = G.laplacian_dense()
-        R = exact_er_matrix(L)
-        for u, v in [(0, 1), (2, 7), (4, 9)]:
-            assert R[u, v] == pytest.approx(exact_er(L, u, v), rel=1e-9)
+                    assert oracle.query(u, v) <= oracle.query(u, w) + oracle.query(w, v) + 1e-9
 
 
 class TestSupportCheck:

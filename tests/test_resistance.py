@@ -16,8 +16,6 @@ from walksparse import (
     dense_poly,
     er_oracle_build,
     estimate_er,
-    exact_er,
-    exact_er_matrix,
     resparsify,
     similarity_check,
 )
@@ -26,6 +24,7 @@ from walksparse.sampling import _as_generator
 from walksparse.sparsify import sparsify_poly, stage_two_edge_budget
 
 from conftest import er_graph, path_graph, ring_graph
+from references import exact_resistances
 
 
 class TestEstimateEr:
@@ -33,7 +32,7 @@ class TestEstimateEr:
         G = er_graph(30, 0.2, 0, weighted=True)
         est = estimate_er(G)
         assert est.method == "dense-exact"
-        R = exact_er_matrix(G.laplacian_dense())
+        R = exact_resistances(G)
         np.testing.assert_allclose(est.Z, R[G.edge_u, G.edge_v], rtol=1e-9)
 
     @pytest.mark.usefixtures("sketched")
@@ -42,7 +41,7 @@ class TestEstimateEr:
         delta = 0.2
         est = estimate_er(G, delta=delta, rng=RngStream(3))
         assert est.method == "sketch"
-        R = exact_er_matrix(G.laplacian_dense())
+        R = exact_resistances(G)
         exact = R[G.edge_u, G.edge_v]
         # inflated sketch stays an upper bound and within (1+delta)^4 above
         assert np.all(est.Z >= exact * 0.999)
@@ -94,6 +93,13 @@ class TestEstimateEr:
         with pytest.raises(InputRefusedError):
             estimate_er(G)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.2, math.nan, math.inf])
+    def test_delta_positive_and_finite(self, triangle, delta):
+        with pytest.raises(ValidationError, match="delta"):
+            estimate_er(triangle, delta=delta)
+        with pytest.raises(ValidationError, match="delta"):
+            er_oracle_build(triangle, PolyCoeffs.parse("1"), 0.3, RngStream(0), delta=delta)
+
     @pytest.mark.usefixtures("sketched")
     def test_cg_failure_raises_with_residual(self, monkeypatch):
         from walksparse import resistance
@@ -142,9 +148,9 @@ class TestErOracle:
         eps, delta = 0.3, 0.2
         oracle = er_oracle_build(triangle, PolyCoeffs.parse("1"), eps, RngStream(0), delta=delta)
         factor = math.exp(eps) * (1 + delta)
-        L = triangle.laplacian_dense()
+        R = exact_resistances(triangle)
         for u, v in [(0, 1), (0, 2), (1, 2)]:
-            truth = exact_er(L, u, v)
+            truth = R[u, v]
             got = oracle.query(u, v)
             assert truth / factor <= got <= truth * factor
 
@@ -153,14 +159,14 @@ class TestErOracle:
         eps, delta = 0.3, 0.2
         alpha = PolyCoeffs.parse("0.5,0.5")
         oracle = er_oracle_build(G, alpha, eps, RngStream(7), delta=delta)
-        L = dense_poly(G, alpha)
+        R = exact_resistances(WeightedGraph.from_dense(-dense_poly(G, alpha)))
         factor = math.exp(eps) * (1 + delta)
         gen = np.random.default_rng(0)
         for _ in range(50):
             u, v = gen.integers(0, G.n, 2)
             if u == v:
                 continue
-            truth = exact_er(L, int(u), int(v))
+            truth = R[u, v]
             got = oracle.query(int(u), int(v))
             assert truth / factor <= got <= truth * factor, (u, v, truth, got)
 
@@ -170,14 +176,14 @@ class TestErOracle:
         eps, delta = 0.3, 0.2
         oracle = er_oracle_build(G, PolyCoeffs.parse("1"), eps, RngStream(9), delta=delta)
         assert oracle.method == "sketch"
-        L = G.laplacian_dense()
+        R = exact_resistances(G)
         factor = math.exp(eps) * (1 + delta)
         gen = np.random.default_rng(1)
         for _ in range(30):
             u, v = gen.integers(0, G.n, 2)
             if u == v:
                 continue
-            truth = exact_er(L, int(u), int(v))
+            truth = R[u, v]
             got = oracle.query(int(u), int(v))
             assert truth / factor <= got <= truth * factor
 
@@ -185,10 +191,10 @@ class TestErOracle:
         G = er_graph(40, 0.15, 14, weighted=True)
         oracle = er_oracle_build(G, PolyCoeffs.parse("1"), 0.5, RngStream(2))
         assert oracle.method == "dense-exact"
-        L = oracle.graph.laplacian_dense()
+        R = exact_resistances(oracle.graph)
         for u in range(G.n):
             for v in range(u + 1, G.n):
-                truth = exact_er(L, u, v)
+                truth = R[u, v]
                 assert oracle.query(u, v) == pytest.approx(truth, rel=1e-8)
                 assert oracle.query(v, u) == oracle.query(u, v)
 
