@@ -9,6 +9,7 @@ output byte for byte. Exit codes: 0 success, 2 usage, 3 validation,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -118,22 +119,23 @@ def build_parser():
     return p
 
 
-def _cfg(args, **kw):
+def _cfg(args):
     return SparsifyConfig(
         epsilon=args.eps,
         oversample=args.cs,
-        second_stage=not getattr(args, "no_second_stage", False),
-        **kw,
+        second_stage=not args.no_second_stage,
+        allow_disconnected=getattr(args, "allow_disconnected", False),
     )
 
 
-def _write_manifest(path, fields):
-    lines = [f"{k}={v}" for k, v in fields.items()]
-    with open(str(path) + ".manifest", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _timed(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and its wall time as the manifest writes it."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, f"{time.perf_counter() - t0:.3f}"
 
 
-def _manifest_fields(args, **extra):
+def _write_manifest(path, args, **extra):
     fields = {
         "subcommand": args.cmd,
         "input": args.input,
@@ -141,99 +143,71 @@ def _manifest_fields(args, **extra):
         "seed": args.seed,
         "cs": repr(args.cs),
         "version": __version__,
+        "output": args.output,
+        **extra,
     }
-    if getattr(args, "output", None):
-        fields["output"] = args.output
-    fields.update(extra)
-    return fields
+    with open(str(path) + ".manifest", "w") as fh:
+        fh.write("".join(f"{k}={v}\n" for k, v in fields.items()))
 
 
 def _run_sparsify_poly(args):
     G = load_graph(args.input, fmt=args.format)
-    cfg = _cfg(args, allow_disconnected=args.allow_disconnected)
-    t0 = time.perf_counter()
-    H = sparsify_poly(G, args.alpha, cfg, RngStream(args.seed))
-    wall = time.perf_counter() - t0
+    H, wall = _timed(sparsify_poly, G, args.alpha, _cfg(args), RngStream(args.seed))
     save_graph(H, args.output)
-    _write_manifest(args.output, _manifest_fields(
-        args, alpha=",".join(f"{a:g}" for a in args.alpha.alpha),
-        wall_time=f"{wall:.3f}", output_nnz=H.m))
+    _write_manifest(args.output, args, alpha=",".join(f"{a:g}" for a in args.alpha.alpha),
+                    wall_time=wall, output_nnz=H.m)
     return EXIT_OK
 
 
 def _run_sparsify_monomial(args):
     G = load_graph(args.input, fmt=args.format)
-    cfg = _cfg(args, allow_disconnected=args.allow_disconnected)
-    t0 = time.perf_counter()
-    H = sparsify_monomial(G, args.degree, cfg, RngStream(args.seed))
-    wall = time.perf_counter() - t0
+    H, wall = _timed(sparsify_monomial, G, args.degree, _cfg(args), RngStream(args.seed))
     save_graph(H, args.output)
-    _write_manifest(args.output, _manifest_fields(
-        args, degree=args.degree, wall_time=f"{wall:.3f}", output_nnz=H.m))
+    _write_manifest(args.output, args, degree=args.degree, wall_time=wall, output_nnz=H.m)
     return EXIT_OK
 
 
 def _run_high_degree(args):
     G = load_graph(args.input, fmt=args.format)
-    cfg = _cfg(args)
-    t0 = time.perf_counter()
-    H = sparsify_high_degree(G, args.degree, args.eps, cfg, RngStream(args.seed))
-    wall = time.perf_counter() - t0
+    H, wall = _timed(sparsify_high_degree, G, args.degree, args.eps, _cfg(args), RngStream(args.seed))
     save_graph(H, args.output)
-    _write_manifest(args.output, _manifest_fields(
-        args, degree=args.degree, wall_time=f"{wall:.3f}", output_nnz=H.m))
+    _write_manifest(args.output, args, degree=args.degree, wall_time=wall, output_nnz=H.m)
     return EXIT_OK
 
 
 def _run_sparsify_sddm(args):
     M = load_sddm(args.input)
-    cfg = _cfg(args)
-    t0 = time.perf_counter()
-    res = sparsify_sddm(M, args.alpha, cfg, RngStream(args.seed))
-    wall = time.perf_counter() - t0
+    res, wall = _timed(sparsify_sddm, M, args.alpha, _cfg(args), RngStream(args.seed))
     save_sddm(res.sddm(), args.output)
-    _write_manifest(args.output, _manifest_fields(
-        args, alpha=",".join(f"{a:g}" for a in args.alpha.alpha),
-        wall_time=f"{wall:.3f}", output_nnz=res.graph.m))
+    _write_manifest(args.output, args, alpha=",".join(f"{a:g}" for a in args.alpha.alpha),
+                    wall_time=wall, output_nnz=res.graph.m)
     return EXIT_OK
 
 
 def _run_inv_sqrt(args):
-    import os
-
     M = load_sddm(args.input)
-    cfg = _cfg(args)
-    t0 = time.perf_counter()
-    chain = inv_sqrt_chain(M, args.eps, max_iters=args.max_iters,
-                           cfg=cfg, rng=RngStream(args.seed))
-    wall = time.perf_counter() - t0
+    chain, wall = _timed(inv_sqrt_chain, M, args.eps, max_iters=args.max_iters,
+                         cfg=_cfg(args), rng=RngStream(args.seed))
     os.makedirs(args.output, exist_ok=True)
-    files = []
-    for k, f in enumerate(chain.factors):
-        gpath = os.path.join(args.output, f"factor_{k}.mtx")
-        save_graph(f.graph, gpath)
-        dpath = os.path.join(args.output, f"factor_{k}.diag")
-        np.savetxt(dpath, f.diag, fmt="%.17g")
-        files.append(f"factor_{k}")
+    files = [f"factor_{k}" for k in range(len(chain))]
+    for name, f in zip(files, chain.factors):
+        save_graph(f.graph, os.path.join(args.output, f"{name}.mtx"))
+        np.savetxt(os.path.join(args.output, f"{name}.diag"), f.diag, fmt="%.17g")
     np.savetxt(os.path.join(args.output, "terminal.diag"), chain.terminal_diag, fmt="%.17g")
-    _write_manifest(os.path.join(args.output, "chain"), _manifest_fields(
-        args, chain_length=len(chain), factors=",".join(files) or "none",
-        eps_bound=f"{chain.eps_bound:.6g}", wall_time=f"{wall:.3f}"))
+    _write_manifest(os.path.join(args.output, "chain"), args, chain_length=len(chain),
+                    factors=",".join(files) or "none", eps_bound=f"{chain.eps_bound:.6g}",
+                    wall_time=wall)
     return EXIT_OK
 
 
 def _run_qth_root(args):
     M = load_sddm(args.input)
-    cfg = _cfg(args)
-    t0 = time.perf_counter()
     alpha = qth_root_coefficients(args.q)
-    res = sparsify_sddm(M, alpha, cfg, RngStream(args.seed))
-    wall = time.perf_counter() - t0
+    res, wall = _timed(sparsify_sddm, M, alpha, _cfg(args), RngStream(args.seed))
     save_sddm(res.sddm(), args.output)
-    coeffs = ",".join(f"{a:.17g}" for a in alpha.alpha)
-    _write_manifest(args.output, _manifest_fields(
-        args, q=args.q, middle_alpha=coeffs, wall_time=f"{wall:.3f}",
-        output_nnz=res.graph.m))
+    _write_manifest(args.output, args, q=args.q,
+                    middle_alpha=",".join(f"{a:.17g}" for a in alpha.alpha),
+                    wall_time=wall, output_nnz=res.graph.m)
     return EXIT_OK
 
 

@@ -32,19 +32,18 @@ class WeightedGraph:
     Immutable after construction; safe to share across threads.
     """
 
-    def __init__(self, n, u, v, w, _validate=True):
+    def __init__(self, n, u, v, w):
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         w = np.asarray(w, dtype=np.float64)
-        if _validate:
-            if u.shape != v.shape or u.shape != w.shape:
-                raise ValidationError("edge arrays must have equal length")
-            if not np.all(np.isfinite(w) & (w > 0)):
-                raise ValidationError("edge weights must be finite and strictly positive")
-            if np.any(u == v):
-                raise ValidationError("self-loops are not stored")
-            if len(u) and (u.min() < 0 or max(u.max(), v.max()) >= n):
-                raise ValidationError("vertex id out of range")
+        if u.shape != v.shape or u.shape != w.shape:
+            raise ValidationError("edge arrays must have equal length")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValidationError("edge weights must be finite and strictly positive")
+        if np.any(u == v):
+            raise ValidationError("self-loops are not stored")
+        if len(u) and (u.min() < 0 or max(u.max(), v.max()) >= n):
+            raise ValidationError("vertex id out of range")
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
         order = np.lexsort((hi, lo))
@@ -52,7 +51,7 @@ class WeightedGraph:
         self.edge_u = lo[order]
         self.edge_v = hi[order]
         self.edge_w = w[order]
-        if _validate and len(self.edge_u) > 1:
+        if len(self.edge_u) > 1:
             same = (np.diff(self.edge_u) == 0) & (np.diff(self.edge_v) == 0)
             if np.any(same):
                 raise ValidationError("duplicate edges must be merged before construction")
@@ -97,14 +96,14 @@ class WeightedGraph:
         return G
 
     @classmethod
-    def from_dense(cls, A, tol=0.0):
-        """Build from a dense symmetric adjacency; entries <= tol are dropped."""
+    def from_dense(cls, A):
+        """Build from a dense symmetric adjacency; entries <= 0 are dropped."""
         A = np.asarray(A, dtype=np.float64)
         if A.shape[0] != A.shape[1]:
             raise ValidationError("adjacency must be square")
         if not np.allclose(A, A.T, rtol=1e-12, atol=0):
             raise ValidationError("adjacency must be symmetric")
-        iu, iv = np.nonzero(np.triu(A, k=1) > tol)
+        iu, iv = np.nonzero(np.triu(A, k=1) > 0)
         return cls(A.shape[0], iu, iv, A[iu, iv])
 
     def adjacency_dense(self):
@@ -233,13 +232,13 @@ class SddmMatrix:
         return self.diag * np.asarray(x, dtype=np.float64) - self.offdiag.adjacency @ x
 
     @classmethod
-    def from_dense(cls, M, tol=1e-12):
+    def from_dense(cls, M):
         M = np.asarray(M, dtype=np.float64)
         if not np.allclose(M, M.T, rtol=1e-12, atol=0):
             raise ValidationError("matrix must be symmetric")
         off = -M.copy()
         np.fill_diagonal(off, 0.0)
-        if np.any(off < -tol):
+        if np.any(off < -1e-12):
             raise ValidationError("off-diagonal entries must be nonpositive")
         off[off < 0] = 0.0
         return cls(np.diag(M).copy(), WeightedGraph.from_dense(off))

@@ -3,9 +3,10 @@ operation scheduling, and the high-degree driver.
 
 Starting from a degree-2 sparsifier D - A~, SQUARE doubles the walk degree
 via the length-2 paths of D - A~ D^-1 A~, and PLUS adds 4 via the length-5
-pattern (A A A~ A A). Each step is one sparsify.stage_one over its
-layers: the product exactly when the sparse-product chain costs at most
-the walks it would draw, otherwise walks of the whole pattern. Per-step error
+pattern (A A A~ A A). Each step is one sparsify.two_stage over its
+layers: stage one forms the product exactly when the sparse-product chain
+costs at most the walks it would draw, otherwise it draws walks of the whole
+pattern, whose coefficients shape the sampling masses alone. Per-step error
 budgets follow the eps/(2k) composition rule with a final
 re-sparsification at eps/2.
 """
@@ -123,21 +124,6 @@ def _clamp_degree_excess(approx: MonomialApprox) -> MonomialApprox:
     return MonomialApprox(approx.degree, scaled, D, approx.accumulated_eps + extra)
 
 
-def _template_sparsify(layers, coeffs, D, eps, cfg: SparsifyConfig, rng):
-    """Stage one of the full template L_1 D^-1 L_2 ... D^-1 L_r, then re-sparsify.
-
-    layers are CSR matrices. The coefficients shape the sampling masses
-    alone, so the exact route ignores them.
-    """
-    local = replace(cfg, epsilon=eps)
-    H = sparsify.stage_one(layers, coeffs, np.eye(len(layers))[-1], D, local.eps_stage_one, cfg, rng)
-    if local.second_stage:
-        from .resistance import resparsify
-
-        H = resparsify(H, local.eps_stage_two, cfg, substream(rng, 3))
-    return H
-
-
 def _full_layer(approx: MonomialApprox):
     """A~ as a matrix with the loop mass D - deg restored on the diagonal.
 
@@ -157,7 +143,7 @@ def square_step(cur: MonomialApprox, eps, cfg: SparsifyConfig, rng) -> MonomialA
     s = np.asarray(At.sum(axis=1)).ravel()
     live = s > 0
     kappa = max(1.0, float(np.max(D[live] / s[live])))
-    H = _template_sparsify([At, At], [kappa, kappa], D, eps, cfg, rng)
+    H = sparsify.two_stage([At, At], [kappa, kappa], np.eye(2)[-1], D, replace(cfg, epsilon=eps), rng, 3)
     out = MonomialApprox(2 * cur.degree, H, D, cur.accumulated_eps + eps)
     return _clamp_degree_excess(out)
 
@@ -173,7 +159,7 @@ def plus_step(cur: MonomialApprox, base: WeightedGraph, eps, cfg: SparsifyConfig
     h = math.exp(cur.accumulated_eps)
     coeffs = [h, h, h * h, h, h]
     A = base.adjacency
-    H = _template_sparsify([A, A, At, A, A], coeffs, D, eps, cfg, rng)
+    H = sparsify.two_stage([A, A, At, A, A], coeffs, np.eye(5)[-1], D, replace(cfg, epsilon=eps), rng, 3)
     out = MonomialApprox(cur.degree + 4, H, D, cur.accumulated_eps + eps)
     return _clamp_degree_excess(out)
 

@@ -170,8 +170,8 @@ def inv_sqrt_chain(
     """
     if rng is None:
         rng = RngStream(0)
-    if eps_total <= 0:
-        raise ValidationError("eps_total must be positive")
+    if not (0 < eps_total < math.inf):
+        raise ValidationError(f"eps_total must be positive and finite, got {eps_total!r}")
     threshold = min(RHO_THRESHOLD, eps_total / 2)
 
     rho = spectral_radius(M)
@@ -184,7 +184,7 @@ def inv_sqrt_chain(
         k_est += 1
     eps_step = (eps_total / 2) / max(k_est, 1)
     if cfg is None:
-        cfg = SparsifyConfig(epsilon=min(eps_step, 1.0) if eps_step > 0 else 0.5)
+        cfg = SparsifyConfig(epsilon=min(eps_step, 1.0))
 
     chain = FactorChain()
     cur = M
@@ -215,8 +215,4 @@ def qth_root_coefficients(q) -> PolyCoeffs:
         [math.comb(t, r - 1) / t ** (r - 1) - math.comb(t, r) / t**r for r in range(1, t + 2)],
         dtype=np.float64,
     )
-    if np.any(alpha < -1e-12):
-        raise ValidationError(
-            f"q={q}: middle polynomial has a negative coefficient; step refused"
-        )
-    return PolyCoeffs(np.maximum(alpha, 0.0))
+    return PolyCoeffs(alpha)

@@ -24,16 +24,12 @@ def dense_poly(G, alpha: PolyCoeffs, threshold=DENSE_THRESHOLD):
 
     Accepts a WeightedGraph or an SddmMatrix (whose diagonal replaces D).
     """
-    if isinstance(G, SddmMatrix):
-        D = G.diag
-        A = G.offdiag.adjacency_dense()
-        n = G.n
-    else:
-        D = G.degree
-        A = G.adjacency_dense()
-        n = G.n
-    if n > threshold:
+    if G.n > threshold:
         raise ValidationError(f"dense oracle limited to n <= {threshold}")
+    if isinstance(G, SddmMatrix):
+        D, A = G.diag, G.offdiag.adjacency_dense()
+    else:
+        D, A = G.degree, G.adjacency_dense()
     Dinv = np.where(D > 0, 1.0 / np.where(D > 0, D, 1.0), 0.0)
     out = np.diag(D).astype(np.float64)
     walk = A.copy()  # walk = D (D^-1 A)^r, starting at r = 1
@@ -45,8 +41,8 @@ def dense_poly(G, alpha: PolyCoeffs, threshold=DENSE_THRESHOLD):
     return out
 
 
-def dense_monomial(G, r, threshold=DENSE_THRESHOLD):
-    return dense_poly(G, PolyCoeffs.monomial(r), threshold=threshold)
+def dense_monomial(G, r):
+    return dense_poly(G, PolyCoeffs.monomial(r))
 
 
 @dataclass
@@ -72,7 +68,7 @@ class SimilarityReport:
         )
 
 
-def generalized_eigenvalues(X, Y, rank_rtol=RANK_RTOL):
+def generalized_eigenvalues(X, Y):
     """Eigenvalues of the pencil (X, Y) restricted to Y's range space.
 
     Returns (eigenvalues, kernel_mismatch). The pencil is whitened through
@@ -89,7 +85,7 @@ def generalized_eigenvalues(X, Y, rank_rtol=RANK_RTOL):
     X = 0.5 * (X + X.T)
     Y = 0.5 * (Y + Y.T)
     wy, Vy = np.linalg.eigh(Y)
-    cut = rank_rtol * max(np.abs(wy).max(), 1e-300)
+    cut = RANK_RTOL * max(np.abs(wy).max(), 1e-300)
     rng_mask = wy > cut
     mismatch = False
     if np.any(wy < -cut):
@@ -100,7 +96,7 @@ def generalized_eigenvalues(X, Y, rank_rtol=RANK_RTOL):
         if np.max(np.abs(X @ ker)) > 1e-6 * xnorm:
             mismatch = True
     wx = np.linalg.eigvalsh(X)
-    rank_x = int(np.sum(wx > rank_rtol * max(np.abs(wx).max(), 1e-300)))
+    rank_x = int(np.sum(wx > RANK_RTOL * max(np.abs(wx).max(), 1e-300)))
     if rank_x != int(rng_mask.sum()):
         mismatch = True
     if not np.any(rng_mask):
@@ -112,9 +108,9 @@ def generalized_eigenvalues(X, Y, rank_rtol=RANK_RTOL):
     return vals, mismatch
 
 
-def similarity_check(X, Y, eps, rank_rtol=RANK_RTOL):
+def similarity_check(X, Y, eps):
     """Certify X ~ Y within exp(+-eps) on the common range space."""
-    vals, mismatch = generalized_eigenvalues(X, Y, rank_rtol=rank_rtol)
+    vals, mismatch = generalized_eigenvalues(X, Y)
     if len(vals) == 0:
         lam_min = lam_max = 1.0
     else:
@@ -152,14 +148,14 @@ class EnumeratedPath:
         return self.vertices == self.vertices[::-1]
 
 
-def enumerate_paths(G: WeightedGraph, r, max_n=8, max_r=5):
+def enumerate_paths(G: WeightedGraph, r):
     """All directed length-r walks with exact w(p) and Z(p).
 
     Each walk appears once per direction; a walk and its reversal describe
     the same multi-edge, so aggregate masses halve non-palindromic pairs.
     """
-    if G.n > max_n or r > max_r:
-        raise ValidationError(f"enumeration guarded at n <= {max_n}, r <= {max_r}")
+    if G.n > 8 or r > 5:
+        raise ValidationError("enumeration guarded at n <= 8, r <= 5")
     if r < 1:
         raise ValidationError("walk length must be >= 1")
     A = G.adjacency

@@ -13,7 +13,7 @@ works one component at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -228,15 +228,15 @@ def er_oracle_build(
     delta=0.2,
     cfg: SparsifyConfig = None,
 ) -> ErOracle:
-    """Sparsify L_alpha(G), then build the ErOracle of the sparsifier.
+    """Sparsify L_alpha(G) at eps, then build the ErOracle of the sparsifier.
 
-    The oracle's sketch, if any, is built at delta / 2, so queries satisfy
-    R~ / R within e^eps (1 + delta) on both sides. A disconnected sparsifier
-    is refused, since resistances across its components are infinite.
+    cfg, if given, supplies every knob but epsilon. The oracle's sketch, if
+    any, is built at delta / 2, so queries satisfy R~ / R within
+    e^eps (1 + delta) on both sides. A disconnected sparsifier is refused,
+    since resistances across its components are infinite.
     """
     _check_delta(delta)  # before the sparsifier is built, not after
-    if cfg is None:
-        cfg = SparsifyConfig(epsilon=eps)
+    cfg = SparsifyConfig(epsilon=eps) if cfg is None else replace(cfg, epsilon=eps)
     H = sparsify_poly(G, alpha, cfg, rng)
     ncomp = connected_components(H.adjacency, directed=False)[0]
     if ncomp > 1:

@@ -10,8 +10,9 @@ the stage exactly, by a chain of sparse products, when that chain costs at
 most M multiply-adds (exact_walk_graph); otherwise it draws M walks with
 masses tau_p = w(p) Z(p), prefixes picked proportionally to alpha_j tau(j),
 and adds tau / (M Z(p)) on each open walk's endpoint edge, tau being the
-sum of the alpha_j tau(j). Stage two re-sparsifies the explicit result down
-to the n log n budget using effective resistances. A disconnected graph
+sum of the alpha_j tau(j). two_stage, the one driver of every sparsifier,
+follows stage one with stage two, which re-sparsifies the explicit result
+down to the n log n budget using effective resistances. A disconnected graph
 runs whole: walks never leave a component; only resparsify splits it.
 """
 
@@ -40,6 +41,8 @@ class SparsifyConfig:
     oversample is the leading constant c_s in every sample-count formula.
     allow_disconnected accepts a disconnected graph (its polynomial is the
     union of its components'); without it one is refused.
+    sparsify_high_degree, inv_sqrt_chain and er_oracle_build spend their own
+    eps argument in place of epsilon and read only the other fields here.
     """
 
     epsilon: float
@@ -134,6 +137,17 @@ def stage_one(layers, coeffs, alpha, D, eps, cfg: SparsifyConfig, rng) -> Weight
     return graph_sampling(draw, tau, M, rng, n)
 
 
+def two_stage(layers, coeffs, alpha, D, cfg: SparsifyConfig, rng, stream) -> WeightedGraph:
+    """stage_one at cfg.eps_stage_one, then, with second_stage, resparsify at
+    cfg.eps_stage_two on substream(rng, stream)."""
+    H = stage_one(layers, coeffs, alpha, D, cfg.eps_stage_one, cfg, rng)
+    if cfg.second_stage:
+        from .resistance import resparsify  # resistance imports this module
+
+        H = resparsify(H, cfg.eps_stage_two, cfg, substream(rng, stream))
+    return H
+
+
 def walk_graph(G: WeightedGraph, D, alpha: PolyCoeffs, cfg: SparsifyConfig, rng) -> WeightedGraph:
     """Sparsifier of the off-diagonal sum_r alpha_r A (D^-1 A)^{r-1}, D >= A 1."""
     if not cfg.allow_disconnected and not G.is_connected():
@@ -141,13 +155,7 @@ def walk_graph(G: WeightedGraph, D, alpha: PolyCoeffs, cfg: SparsifyConfig, rng)
             "graph is disconnected (pass allow_disconnected to sparsify each component's "
             "polynomial, with no edges between components)"
         )
-    layers = [G.adjacency] * alpha.d
-    H = stage_one(layers, np.full(alpha.d, 2.0), alpha.alpha, D, cfg.eps_stage_one, cfg, rng)
-    if cfg.second_stage:
-        from .resistance import resparsify
-
-        H = resparsify(H, cfg.eps_stage_two, cfg, substream(rng, 1))
-    return H
+    return two_stage([G.adjacency] * alpha.d, np.full(alpha.d, 2.0), alpha.alpha, D, cfg, rng, 1)
 
 
 def sparsify_poly(G: WeightedGraph, alpha: PolyCoeffs, cfg: SparsifyConfig, rng) -> WeightedGraph:

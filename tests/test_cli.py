@@ -149,6 +149,17 @@ class TestOutputs:
         assert fields["alpha"] == "0,1"
         assert "output_nnz" in fields
 
+    def test_sparsify_monomial_matches_poly(self, medium_file, tmp_path):
+        mono, poly = tmp_path / "mono.mtx", tmp_path / "poly.mtx"
+        common = ["-i", medium_file, "--eps", "0.5", "--seed", "4"]
+        assert main(["sparsify-monomial", "-r", "3", *common, "-o", str(mono)]) == 0
+        assert main(["sparsify-poly", "--alpha", "0,0,1", *common, "-o", str(poly)]) == 0
+        assert mono.read_bytes() == poly.read_bytes()
+        manifest = (tmp_path / "mono.mtx.manifest").read_text()
+        fields = dict(line.split("=", 1) for line in manifest.strip().splitlines())
+        assert fields["subcommand"] == "sparsify-monomial"
+        assert fields["degree"] == "3"
+
     def test_enumerate_totals(self, tri_file, capsys):
         assert main(["enumerate", "-i", tri_file, "-r", "2"]) == 0
         out = capsys.readouterr().out

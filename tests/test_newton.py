@@ -186,6 +186,12 @@ class TestInvSqrtChain:
         with pytest.raises(ValidationError):
             inv_sqrt_chain(M, 0.0)
 
+    @pytest.mark.parametrize("eps_total", [math.nan, math.inf])
+    def test_nonfinite_eps_rejected(self, eps_total):
+        M = random_sddm(10, 0.4, 6)
+        with pytest.raises(ValidationError, match="eps_total"):
+            inv_sqrt_chain(M, eps_total)
+
     def test_walk_ratio_at_least_one_refused(self):
         # K_10 whose diagonal sits inside the dominance tolerance but below the
         # degree on nine vertices: validation accepts it, yet rho(D^-1 A) > 1

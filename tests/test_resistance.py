@@ -216,6 +216,16 @@ class TestErOracle:
         with pytest.raises(InputRefusedError, match=f"disconnected .*{isolated} isolated vertices"):
             er_oracle_build(G, alpha, 1.0, RngStream(0), delta=0.8, cfg=cfg)
 
+    def test_cfg_epsilon_is_replaced_by_eps(self):
+        # cfg supplies oversample and second_stage; the sparsifier is built at eps
+        G = er_graph(40, 0.3, 1)
+        alpha = PolyCoeffs.parse("0.5,0.5")
+        cfg = SparsifyConfig(epsilon=1.0, oversample=1.0)
+        oracle = er_oracle_build(G, alpha, 0.3, RngStream(0), cfg=cfg)
+        at_eps = sparsify_poly(G, alpha, SparsifyConfig(epsilon=0.3, oversample=1.0), RngStream(0))
+        assert oracle.graph == at_eps
+        assert at_eps.m > sparsify_poly(G, alpha, cfg, RngStream(0)).m
+
     def test_same_vertex_zero(self, triangle):
         oracle = er_oracle_build(triangle, PolyCoeffs.parse("1"), 0.3, RngStream(0))
         assert oracle.query(1, 1) == 0.0
