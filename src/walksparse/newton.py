@@ -5,7 +5,7 @@ M_1 = D - 3/4 D(D^-1 A)^2 - 1/4 D(D^-1 A)^3 turns one inverse into another
 whose walk ratio is roughly squared. Iterating until the spectral radius of
 D^-1 A falls below a threshold yields C = F_0 ... F_{K-1} D_K^{-1/2} with
 C C^T close to M^-1. Each step's cubic goes through sparsify_sddm, whose
-stage one forms it exactly whenever the sparse products cost at most the
+stage one forms it exactly whenever the chain of products costs at most the
 walks. The walk ratio rho is exact to rounding at n <= DENSE_THRESHOLD and an
 upper bound above it (a Lanczos residual bound, or where Lanczos does not
 converge a Collatz-Wielandt bound that stays below 1 on every positive

@@ -6,8 +6,9 @@ mixture of the prefixes of one layer list, for graphs and SDDM matrices
 with D = A 1 for L_alpha(G) and the SDDM diagonal for the SDDM extension)
 and for the high-degree composition steps. Its sample count M is c_s ln n /
 eps^2 times the D-normalised walk mass sum_j alpha_j tau(j). It computes
-the stage exactly, by a chain of sparse products, when that chain costs at
-most M multiply-adds (exact_walk_graph); otherwise it draws M walks with
+the stage exactly, by a chain of products, when that chain costs at most M
+multiply-adds (exact_walk_graph; the chain turns dense from the first
+product costing n^2); otherwise it draws M walks with
 masses tau_p = w(p) Z(p), prefixes picked proportionally to alpha_j tau(j),
 and adds tau / (M Z(p)) on each open walk's endpoint edge, tau being the
 sum of the alpha_j tau(j). two_stage, the one driver of every sparsifier,
@@ -78,10 +79,13 @@ def exact_walk_graph(layers, D, M, alpha):
 
     layers are CSR matrices. The prefix chain X_j = X_{j-1} D^-1 L_j is
     formed one product at a time, each costing
-    sum_k nnz(X[:, k]) nnz(L_j[k, :]) multiply-adds. Once their
+    f_j = sum_k nnz(X[:, k]) nnz(L_j[k, :]) multiply-adds. Once their
     running total exceeds M, the number of walks the stage would draw, None
     is returned and the stage samples instead; up to M the chain is faster
-    than the walks and holds no more entries than their accumulator. The
+    than the walks and holds no more entries than their accumulator. From
+    the first product with f_j >= n^2, X and P are ndarrays and
+    (X / D) @ L_j runs scipy's sparse-dense loop: n nnz(L_j) multiply-adds,
+    no BLAS, and a dense X within the same bound, as n^2 <= f_j <= M. The
     result is the strictly upper triangle of (P + P^T) / 2, the graph whose
     expectation graph_sampling estimates.
     """
@@ -91,15 +95,27 @@ def exact_walk_graph(layers, D, M, alpha):
     X = layers[0]
     P = weights[0] * X
     flops = 0
+    dense = False
     for L, a in zip(layers[1:], weights[1:]):
-        flops += int(np.bincount(X.indices, minlength=n) @ np.diff(L.indptr))
+        fill = np.count_nonzero(X, axis=0) if dense else np.bincount(X.indices, minlength=n)
+        f = int(fill @ np.diff(L.indptr))
+        flops += f
         if flops > M:
             log.info("stage 1 sample: at least %s multiply-adds > M = %s", f"{flops:,}", f"{M:,}")
             return None
-        X = sp.csr_matrix((X.data / D[X.indices], X.indices, X.indptr), shape=X.shape) @ L
+        if f >= n * n and not dense:
+            dense, X, P = True, X.toarray(), P.toarray()
+        if dense:
+            X = (X / D) @ L  # scipy loops over L; BLAS bytes would vary with threads
+        else:
+            X = sp.csr_matrix((X.data / D[X.indices], X.indices, X.indptr), shape=X.shape) @ L
         if a:
             P = P + a * X
     log.info("stage 1 exact: %s multiply-adds <= M = %s", f"{flops:,}", f"{M:,}")
+    if dense:
+        W = 0.5 * np.triu(P + P.T, k=1)
+        u, v = np.nonzero(W > 0)  # halving the smallest subnormal gives zero
+        return WeightedGraph(n, u, v, W[u, v])
     P = sp.triu(P + P.T, k=1).tocoo()
     w = 0.5 * P.data
     keep = w > 0  # halving the smallest subnormal gives zero

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from walksparse.errors import ValidationError
 from walksparse.graph import DENSE_THRESHOLD, WeightedGraph
@@ -20,6 +21,28 @@ def exact_resistances(G: WeightedGraph):
     X = np.triu(X) + np.triu(X, 1).T
     d = np.diag(X)
     return d[:, None] + d[None, :] - 2 * X
+
+
+def csr_walk_graph(layers, D, alpha):
+    """exact_walk_graph with every product of the chain in CSR and no M cap.
+
+    Returns the graph and the multiply-add count of each product,
+    sum_k nnz(X[:, k]) nnz(L_j[k, :]), in chain order."""
+    weights = np.asarray(alpha, dtype=np.float64)
+    layers = layers[: np.flatnonzero(weights)[-1] + 1]
+    n = len(D)
+    X = layers[0]
+    P = weights[0] * X
+    counts = []
+    for L, a in zip(layers[1:], weights[1:]):
+        counts.append(int(np.bincount(X.indices, minlength=n) @ np.diff(L.indptr)))
+        X = sp.csr_matrix((X.data / D[X.indices], X.indices, X.indptr), shape=X.shape) @ L
+        if a:
+            P = P + a * X
+    P = sp.triu(P + P.T, k=1).tocoo()
+    w = 0.5 * P.data
+    keep = w > 0
+    return WeightedGraph(n, P.row[keep], P.col[keep], w[keep]), counts
 
 
 def middle_poly_value(q, x):

@@ -27,7 +27,8 @@ from walksparse import sparsify
 from walksparse.sampling import prefix_masses
 from walksparse.sparsify import stage_two_edge_budget
 
-from conftest import barbell_graph, er_graph, path_graph, ring_graph, star_graph
+from conftest import barbell_graph, er_graph, path_graph, random_sddm, ring_graph, star_graph
+from references import csr_walk_graph
 
 
 def stage_one_budget(G, alpha, cfg):
@@ -276,6 +277,45 @@ class TestExactRoute:
                 save_graph(sparsify_poly(G, alpha, cfg, RngStream(9)), tmp_path / name)
         assert ("stage 1 exact" in caplog.text) == (route == "exact")
         assert (tmp_path / "a.mtx").read_bytes() == (tmp_path / "b.mtx").read_bytes()
+
+
+def _chain_case(name):
+    """(layers, D, alpha) of one exact stage: the newton cubic, a weighted
+    mixture of degree 3, three unsymmetric random layers (their chain is
+    neither symmetric nor full after the switch) and the fifth power of a
+    512-vertex path."""
+    if name == "unsymmetric":
+        layers = [sp.random(60, 60, 0.15, format="csr", rng=s) for s in range(3)]
+        return layers, 1.0 + sum(L.sum(axis=1).A1 for L in layers), [0.0, 0.5, 0.5]
+    if name == "newton-cubic":
+        M = random_sddm(50, 0.15, 1)
+        return [M.offdiag.adjacency] * 3, M.diag, [0.0, 0.75, 0.25]
+    if name == "mixture":
+        G = er_graph(60, 0.1, 0, weighted=True)
+        return [G.adjacency] * 3, G.degree, [0.2, 0.3, 0.5]
+    G = path_graph(10.0 ** np.random.default_rng(5).uniform(-2, 2, 511))
+    return [G.adjacency] * 5, G.degree, [0.0, 0.0, 0.0, 0.0, 1.0]
+
+
+class TestDenseChain:
+    """exact_walk_graph goes dense from the first product costing n^2 multiply-adds."""
+
+    @pytest.mark.parametrize("name, switch", [("newton-cubic", 0), ("mixture", 1), ("unsymmetric", 0), ("path-512", None)])
+    def test_matches_csr_chain(self, name, switch, caplog):
+        layers, D, alpha = _chain_case(name)
+        n = len(D)
+        with caplog.at_level(logging.INFO, logger="walksparse"):
+            H = sparsify.exact_walk_graph(layers, D, 10**12, alpha)
+        R, counts = csr_walk_graph(layers, D, alpha)
+        assert next((j for j, f in enumerate(counts) if f >= n * n), None) == switch
+        (msg,) = [m for m in caplog.messages if m.startswith("stage 1 ")]
+        assert msg == f"stage 1 exact: {sum(counts):,} multiply-adds <= M = {10**12:,}"
+        np.testing.assert_array_equal(H.edge_u, R.edge_u)
+        np.testing.assert_array_equal(H.edge_v, R.edge_v)
+        if switch is None:
+            assert H.edge_w.tobytes() == R.edge_w.tobytes()
+        else:
+            np.testing.assert_allclose(H.edge_w, R.edge_w, rtol=1e-14, atol=0)
 
 
 @st.composite
