@@ -154,7 +154,7 @@ def _run_sparsify_poly(args):
     G = load_graph(args.input, fmt=args.format)
     H, wall = _timed(sparsify_poly, G, args.alpha, _cfg(args), RngStream(args.seed))
     save_graph(H, args.output)
-    _write_manifest(args.output, args, alpha=",".join(f"{a:g}" for a in args.alpha.alpha),
+    _write_manifest(args.output, args, alpha=",".join(f"{a:.17g}" for a in args.alpha.alpha),
                     wall_time=wall, output_nnz=H.m)
     return EXIT_OK
 
@@ -179,7 +179,7 @@ def _run_sparsify_sddm(args):
     M = load_sddm(args.input)
     res, wall = _timed(sparsify_sddm, M, args.alpha, _cfg(args), RngStream(args.seed))
     save_sddm(res.sddm(), args.output)
-    _write_manifest(args.output, args, alpha=",".join(f"{a:g}" for a in args.alpha.alpha),
+    _write_manifest(args.output, args, alpha=",".join(f"{a:.17g}" for a in args.alpha.alpha),
                     wall_time=wall, output_nnz=res.graph.m)
     return EXIT_OK
 

@@ -253,7 +253,7 @@ class SddmMatrix:
 # Two on-disk formats:
 #   * Matrix Market coordinate real (general or symmetric), 1-based indices;
 #   * whitespace-separated edge list "u v w" with '#' comments.
-# Output edges are sorted by (u, v) with weights at 17 significant digits.
+# Edges are written sorted by (u, v), each row as "%d %d %.17g\n" % row writes it.
 # One np.loadtxt call parses a body and array operations check it; the line
 # scanner runs only when loadtxt fails or a check refuses a row, to name it.
 # ---------------------------------------------------------------------------
@@ -261,6 +261,17 @@ class SddmMatrix:
 _ROW = [("u", np.int64), ("v", np.int64), ("w", np.float64)]
 _MM_HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
 _WRITE_CHUNK = 1 << 16
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+# ASCII of each 4-digit group, plain (ids) and with an empty byte after each
+# digit that can take a '.' (weights), and masks that keep some of a group
+_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48)
+_SPACED = np.stack([_DIGITS, 0 * _DIGITS], -1).reshape(-1, 8).view("<u8").ravel()
+_TRAILING_ZEROS = np.cumprod(_DIGITS[:, ::-1] == 48, axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
+_FROM = (np.arange(4) >= np.arange(5)[:, None]) * np.uint8(255)  # [a]: digits a..3
+_KEEP_LAST = _FROM[::-1].copy().view("<u4").ravel()  # [c]: the last c digits
+_KEEP_FROM, _KEEP_BELOW = (np.stack([m, 0 * m], -1).reshape(5, 8).view("<u8").ravel()
+                           for m in (_FROM, _FROM[::-1, ::-1]))  # spaced; [b]: digits 0..b-1
+_SCALE = 10.0 ** np.arange(21)  # 10^(16-k), exact doubles
 
 
 def _merge_duplicate_edges(u, v, w):
@@ -387,17 +398,66 @@ def _merge_general(body, n, u, v, w):
     return keys[upper] // n, keys[upper] % n, acc[upper]
 
 
+def _ids(x, count):
+    """'%d' of each id >= 0 as count 4-byte groups, NUL-padded in front."""
+    nd = np.maximum(np.searchsorted(_POW10, x, side="right"), 1)
+    return np.column_stack([_DIGITS.view("<u4")[x // 10 ** (4 * j) % 10000, 0]  # scalar divisors are fast
+                            & _KEEP_LAST[np.clip(nd - 4 * j, 0, 4)] for j in range(count - 1, -1, -1)])
+
+
+def _weights(w, rows):
+    """Fill rows' sign and weight fields with '%.17g' of w where its decimal exponent
+    k at 17 digits lies in [-4, 16] (fixed notation); return that mask. Dekker's
+    two-product gives |w| 10^(16-k) = p + err exactly, and p >= 10^16 is even, so
+    N = p + rint(err) is round(|w| 10^(16-k)), ties to even. A wrong k or a carry
+    leaves N outside [10^16, 10^17): no double is within 5e-17 relative below 10^k."""
+    ok = (np.abs(w) >= 1e-4) & (np.abs(w) < 1e17)
+    a = np.where(ok, np.abs(w), 1.0)
+    k = np.clip(np.floor(np.log10(a)).astype(np.int64), -4, 16)
+    b = _SCALE[16 - k]
+    ah, bh = ((c := x * 134217729.0) - (c - x) for x in (a, b))  # Dekker's 26-bit halves
+    p, al, bl = a * b, a - ah, b - bh
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    N = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    ok &= (N >= 10**16) & (N < 10**17)
+    # '0000000' and the 17 digits of N, chars 0-23; '%.17g' prints chars
+    # first..last with a '.' after char 7 + k if a fraction digit is left
+    g = [0, *(np.where(ok, N, 10**16) // 10 ** (4 * j) % 10000 for j in range(4, -1, -1))]
+    last = np.select([g[j] != 0 for j in range(5, 1, -1)],  # the last nonzero digit
+                     [4 * j + 3 - _TRAILING_ZEROS[g[j]] for j in range(5, 1, -1)], 7)
+    first, last = 7 + np.minimum(k, 0), np.maximum(last, 7 + k)
+    dot = (last > 7 + k) * (np.uint64(46) << (16 * ((7 + k) % 4) + 8).astype(np.uint64))
+    for j in range(6):  # first lies in chars 3-7, last in chars 7-23
+        keep = _KEEP_FROM[np.clip(first - 4 * j, 0, 4)] if j < 2 else _KEEP_BELOW[np.clip(last + 1 - 4 * j, 0, 4)]
+        rows["w"][:, j] = (_SPACED[g[j]] & keep) + np.where((7 + k) // 4 == j, dot, 0)
+    rows["sign"] = np.where(w < 0, 45, 0)
+    return ok
+
+
 def _write_rows(fh, u, v, w):
-    """Write 'u v w' lines, formatting a chunk of rows with one % operation."""
+    """Write 'u v w' lines, byte for byte "%d %d %.17g\\n" % row. A chunk is one
+    NUL-padded record per row, made by array arithmetic, whose NULs are deleted
+    in one pass; the rows _weights leaves out are formatted by % and spliced in."""
     for s in range(0, len(w), _WRITE_CHUNK):
-        cols = [c[s : s + _WRITE_CHUNK].tolist() for c in (u, v, w)]
-        flat = [None] * (3 * len(cols[2]))
-        flat[0::3], flat[1::3], flat[2::3] = cols
-        fh.write("%d %d %.17g\n" * len(cols[2]) % tuple(flat))
+        cu, cv, cw = (c[s : s + _WRITE_CHUNK] for c in (u, v, w))
+        ids = -(-int(np.searchsorted(_POW10, max(cu.max(), cv.max(), 1), side="right")) // 4)
+        rows = np.zeros(len(cw), [("u", "<u4", ids), ("sp", "u1"), ("v", "<u4", ids), ("sp2", "u1"),
+                                  ("sign", "u1"), ("w", "<u8", 6), ("nl", "u1")])
+        rows["u"], rows["v"], rows["sp"], rows["sp2"], rows["nl"] = _ids(cu, ids), _ids(cv, ids), 32, 32, 10
+        ok = _weights(cw, rows) & (cu >= 0) & (cv >= 0)
+        rows[~ok] = 0
+        text = rows.tobytes().translate(None, b"\0").decode("ascii")
+        if len(bad := np.flatnonzero(~ok)):
+            lengths = np.count_nonzero(rows.view(np.uint8).reshape(len(cw), -1), axis=1)
+            cuts = np.concatenate([[0], np.cumsum(lengths)])[bad].tolist()
+            parts = [text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)])]
+            spliced = zip(cu[bad].tolist(), cv[bad].tolist(), cw[bad].tolist())
+            text = parts[0] + "".join("%d %d %.17g\n" % r + t for r, t in zip(spliced, parts[1:]))
+        fh.write(text)
 
 
 def save_graph(G: WeightedGraph, path, fmt="matrix-market"):
-    """Write edges sorted by (u, v); weights keep 17 significant digits."""
+    """Write edges sorted by (u, v), each row byte for byte "%d %d %.17g" % row."""
     if fmt not in ("matrix-market", "edge-list"):
         raise ValueError(f"unknown format {fmt!r}")
     with open(path, "w") as fh:

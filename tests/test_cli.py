@@ -149,6 +149,17 @@ class TestOutputs:
         assert fields["alpha"] == "0,1"
         assert "output_nnz" in fields
 
+    @pytest.mark.parametrize("cmd", ["sparsify-poly", "sparsify-sddm"])
+    @pytest.mark.parametrize("alpha", ["0.3333333,0.3333333,0.3333334", "0.1234567,0.8765433"])
+    def test_manifest_alpha_parses_to_run_alpha(self, medium_file, sddm_file, tmp_path, cmd, alpha):
+        out = tmp_path / "out.mtx"
+        infile = medium_file if cmd == "sparsify-poly" else sddm_file
+        assert main([cmd, "-i", infile, "--alpha", alpha, "--eps", "0.5", "--seed", "3", "-o", str(out)]) == 0
+        manifest = (tmp_path / "out.mtx.manifest").read_text()
+        fields = dict(line.split("=", 1) for line in manifest.strip().splitlines())
+        recorded = PolyCoeffs.parse(fields["alpha"]).alpha
+        assert recorded.tobytes() == PolyCoeffs.parse(alpha).alpha.tobytes()
+
     def test_sparsify_monomial_matches_poly(self, medium_file, tmp_path):
         mono, poly = tmp_path / "mono.mtx", tmp_path / "poly.mtx"
         common = ["-i", medium_file, "--eps", "0.5", "--seed", "4"]

@@ -1,3 +1,4 @@
+import io
 import logging
 import math
 import os
@@ -5,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walksparse import (
     GraphFormatError,
@@ -235,6 +238,82 @@ def load_both_ways(monkeypatch, caplog, path, loader=load_graph, **kwargs):
             res = loader(path, **kwargs)
         out.append((res, [r.args[0] for r in caplog.records if "self-loop" in r.getMessage()]))
     return out
+
+
+def written_rows(u, v, w):
+    """_write_rows into a string, from arrays only (ids may exceed any graph)."""
+    fh = io.StringIO()
+    graph._write_rows(fh, np.asarray(u, np.int64), np.asarray(v, np.int64), np.asarray(w, np.float64))
+    return fh.getvalue()
+
+
+def assert_rows_match(w, u=None, v=None):
+    u = np.arange(len(w)) if u is None else np.asarray(u)
+    v = u[::-1] if v is None else np.asarray(v)
+    assert written_rows(u, v, w) == per_edge_rows(u, v, w)
+
+
+def float_bits(exponents):
+    """Finite doubles from random sign, mantissa and biased-exponent bits."""
+    return st.tuples(st.booleans(), exponents, st.integers(0, 2**52 - 1)).map(
+        lambda t: float(np.uint64((t[0] << 63) | (t[1] << 52) | t[2]).view(np.float64)))
+
+
+class TestRowWriter:
+    """_write_rows against the one-f-string-per-row reference, byte for byte."""
+
+    def test_weights_around_powers_of_ten(self):
+        w = [0.5, 2.5, 1e16, 5e-324, 1 - 2**-53, 100000000000000.125, 100000000000000.375, 1.0, 100.0]
+        for k in range(-6, 19):
+            for toward in (0.0, np.inf):
+                x = 10.0**k
+                for _ in range(3):  # 10^k, then 1-3 ulps below and above
+                    w.append(x)
+                    x = np.nextafter(x, toward)
+                w.append(x)
+        w = np.array(w)
+        assert_rows_match(np.concatenate([w, -w]))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(float_bits(st.integers(0, 2046)), min_size=1, max_size=40),
+           st.lists(float_bits(st.integers(1009, 1081)), min_size=1, max_size=40))
+    def test_random_finite_bit_patterns(self, anywhere, fixed_range):
+        # the second list keeps exponents near [1e-4, 1e17), where arithmetic formats
+        assert_rows_match(np.array(anywhere + fixed_range))
+
+    @pytest.mark.parametrize("off", [-1.0, 1.0], ids=["k-low", "k-high"])
+    def test_wrong_exponent_estimate_is_refused(self, monkeypatch, off):
+        # an exponent from log10 that is one off leaves N outside [1e16, 1e17)
+        log10 = np.log10
+        monkeypatch.setattr(graph.np, "log10", lambda x: log10(x) + off)
+        assert_rows_match(10 ** np.random.default_rng(5).uniform(-4, 17, 500))
+
+    def test_ids_at_digit_boundaries(self):
+        u = [0, 9, 10, 9999, 10000, 99999999, 100000000, 2**62 + 12345]
+        assert_rows_match(np.full(len(u), 0.25), u, u[::-1])
+        assert_rows_match(np.full(len(u), 1e-9), u, u[::-1])  # the % path
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
+    def test_chunk_edges(self, delta):
+        m = graph._WRITE_CHUNK + delta
+        w = 10 ** np.random.default_rng(delta + 1).uniform(-3, 3, m)
+        for i in (0, graph._WRITE_CHUNK - 1, graph._WRITE_CHUNK, m - 1):
+            if i < m:
+                w[i] = 1e-7 * (i + 1)  # a % row at the first and last row of a chunk
+        assert_rows_match(w)
+
+    def test_chunk_of_only_percent_rows(self):
+        w = np.full(graph._WRITE_CHUNK + 3, 1.5)
+        w[graph._WRITE_CHUNK:] = [0.0, 1e17, 3e-5]
+        assert_rows_match(w)
+        assert_rows_match(np.array([0.0, -0.0, 5e-324, 1e-5, 1e17, -1e300, np.inf, -np.inf, np.nan]))
+
+    def test_no_rows_writes_header_only(self, tmp_path):
+        assert written_rows([], [], []) == ""
+        save_graph(WeightedGraph(5, [], [], []), tmp_path / "g.mtx")
+        assert (tmp_path / "g.mtx").read_text() == MM_SYM + "5 5 0\n"
+        save_graph(WeightedGraph(5, [], [], []), tmp_path / "g.txt", fmt="edge-list")
+        assert (tmp_path / "g.txt").read_text() == ""
 
 
 class TestFileLayer:
