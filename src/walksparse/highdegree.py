@@ -32,7 +32,6 @@ log = logging.getLogger(__name__)
 
 SQUARE = "SQUARE"
 PLUS = "PLUS"
-DIRECT = "DIRECT"
 
 
 @dataclass

@@ -232,10 +232,17 @@ def er_oracle_build(
 
     cfg, if given, supplies every knob but epsilon. The oracle's sketch, if
     any, is built at delta / 2, so queries satisfy R~ / R within
-    e^eps (1 + delta) on both sides. A disconnected sparsifier is refused,
-    since resistances across its components are infinite.
+    e^eps (1 + delta) on both sides. A disconnected G, or a disconnected
+    sparsifier of a connected G, is refused, since resistances across its
+    components are infinite.
     """
     _check_delta(delta)  # before the sparsifier is built, not after
+    ncomp = connected_components(G.adjacency, directed=False)[0]
+    if ncomp > 1:
+        raise InputRefusedError(
+            f"the input graph G is disconnected ({ncomp} components), so resistances "
+            "between its components are infinite"
+        )
     cfg = SparsifyConfig(epsilon=eps) if cfg is None else replace(cfg, epsilon=eps)
     H = sparsify_poly(G, alpha, cfg, rng)
     ncomp = connected_components(H.adjacency, directed=False)[0]

@@ -10,13 +10,14 @@ estimator's edge weight w(p) tau_total / (M tau_p) = tau_total / (M Z(p))
 does not read w(p), so a walk carries only its endpoints and
 Z(p) = sum_i coeffs[i] / w_i.
 
-A stage samples the prefixes of one layer list: SamplerIndex shares row
-tables across them, and prefix_masses gives each prefix's total mass
-without building tables. For the monomial layers [A]*r with coefficient 2
-under D = A 1 every absorption vector is exactly one, the pivot edge is
-uniform, and the total over length-r walks is exactly 2 r m. A larger D,
-such as an SDDM diagonal, gives absorption vectors at most one and a total
-below 2 r m.
+SamplerIndex is the engine's one object: it validates a layer list once,
+shares one left absorption chain and its row tables across the list's
+prefixes, gives each prefix's total mass without building tables (masses)
+and builds each prefix's template (template). For the monomial layers
+[A]*r with coefficient 2 under D = A 1 every absorption vector is exactly
+one, the pivot edge is uniform, and the total over length-r walks is
+exactly 2 r m. A larger D, such as an SDDM diagonal, gives absorption
+vectors at most one and a total below 2 r m.
 """
 
 from __future__ import annotations
@@ -145,118 +146,9 @@ class WalkTemplate:
         return len(self.layers)
 
 
-def _assemble(mats, coeffs, left, right, tables) -> WalkTemplate:
-    """Template over absorption vectors, reusing tables already in `tables`.
-
-    Tables are keyed by (kind, layer, weight vector), so equal vectors on
-    the same layer share one table across positions and templates.
-    """
-
-    def table(key, make):
-        if key not in tables:
-            tables[key] = make()
-        return tables[key]
-
-    r = len(mats)
-    rows = [
-        table(("rows", id(m)), lambda m=m: np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)))
-        for m in mats
-    ]
-
-    def pivot(i):
-        mat, lv, rv = mats[i - 1], left[i], right[i]
-        return table(
-            ("pivot", id(mat), lv.tobytes(), rv.tobytes()),
-            lambda: _RowTable(np.array([0, mat.nnz]), lv[rows[i - 1]] * rv[mat.indices]),
-        )
-
-    def step(j, vec):
-        mat = mats[j - 1]
-        return table(
-            ("step", id(mat), vec.tobytes()),
-            lambda: _RowTable(mat.indptr, mat.data * vec[mat.indices]),
-        )
-
-    pivots = [pivot(i) for i in range(1, r + 1)]
-    mass = coeffs * np.array([float(t.total[0]) for t in pivots])
-    return WalkTemplate(
-        layers=mats,
-        coeffs=coeffs,
-        tau_total=0.5 * float(mass.sum()),
-        _pivot_mass=mass,
-        _pivots=pivots,
-        _rows=rows,
-        _back=[step(j, left[j]) if j < r else None for j in range(1, r + 1)],
-        _fwd=[step(j, right[j]) if j > 1 else None for j in range(1, r + 1)],
-    )
-
-
-def _validated(layers, coeffs, D):
-    """CSR layers, coefficients and D as float arrays, checked against each other."""
-    # layers are WeightedGraphs or sparse matrices; a CSR layer is used as is, so
-    # equal layers keep one identity across positions and prefixes and share tables
-    csr = {}
-    mats = [csr.setdefault(id(x), x.adjacency if isinstance(x, WeightedGraph) else x.tocsr()) for x in layers]
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    D = np.asarray(D, dtype=np.float64)
-    if len(coeffs) != len(mats):
-        raise ValidationError("one coefficient per layer required")
-    if np.any(coeffs <= 0):
-        raise ValidationError("coefficients must be positive")
-    for j, mat in enumerate(mats):
-        if mat.nnz == 0:
-            raise ValidationError(f"layer {j} has an empty edge set")
-        if mat.shape != (len(D), len(D)):
-            raise ValidationError("layers must share the base vertex set")
-    return mats, coeffs, D
-
-
-def _left_absorption(mats, D):
-    """left[i] for i = 1..r; left[i] reads only mats[:i-1]."""
-    left = [None] * (len(mats) + 1)
-    left[1] = np.ones(len(D))
-    for i in range(1, len(mats)):
-        left[i + 1] = np.divide(mats[i - 1] @ left[i], D, out=np.zeros(len(D)), where=D > 0)
-    return left
-
-
-def _right_absorption(mats, D):
-    """right[i] for i = 1..r, absorbed from the last layer backwards."""
-    r = len(mats)
-    right = [None] * (r + 1)
-    right[r] = np.ones(len(D))
-    for i in range(r - 1, 0, -1):
-        right[i] = np.divide(mats[i] @ right[i + 1], D, out=np.zeros(len(D)), where=D > 0)
-    return right
-
-
-def _absorption(layers, coeffs, D):
-    """Validated CSR layers and coefficients, with the absorption vectors under D."""
-    mats, coeffs, D = _validated(layers, coeffs, D)
-    return mats, coeffs, _left_absorption(mats, D), _right_absorption(mats, D)
-
-
 def build_template(layers, coeffs, D) -> WalkTemplate:
-    """Precompute absorption vectors, then the pivot and step tables."""
-    return _assemble(*_absorption(layers, coeffs, D), {})
-
-
-def prefix_masses(layers, coeffs, D, prefixes):
-    """tau_total of build_template(layers[:j], coeffs[:j], D) for each j in
-    prefixes, without its tables.
-
-    The prefixes share one validation and one left chain, as left[i] reads
-    only layers[:i-1]; each keeps its own right chain.
-    """
-    r = max(prefixes)
-    mats, coeffs, D = _validated(layers[:r], coeffs[:r], D)
-    left = _left_absorption(mats, D)
-    masses = []
-    for j in prefixes:
-        right = _right_absorption(mats[:j], D)
-        pivot = [np.repeat(left[i], np.diff(m.indptr)) @ right[i][m.indices] for i, m in enumerate(mats[:j], 1)]
-        masses.append(0.5 * float(coeffs[:j] @ pivot))
-    return masses
+    """The template over all of layers: SamplerIndex(layers, coeffs, D).template(len(layers))."""
+    return SamplerIndex(layers, coeffs, D).template(len(layers))
 
 
 def sample_template_paths(tmpl: WalkTemplate, count, rng, record_vertices=False):
@@ -303,27 +195,111 @@ def sample_template_paths(tmpl: WalkTemplate, count, rng, record_vertices=False)
 
 
 class SamplerIndex:
-    """Shared row tables for the prefix templates of one layer list.
+    """The walk engine over the prefixes of one layer list.
 
-    Template j walks layers[:j] with coeffs[:j] under D. Tables are shared
-    across positions and prefixes wherever the absorption vectors agree;
-    for [A]*d with coefficient 2 and D = A 1 they are all exactly one, so
-    one uniform pivot table and one step table over A serve every prefix.
+    Prefix j walks layers[:j] with coeffs[:j] under D. The layers are
+    validated and the left absorption chain computed once, which every
+    prefix shares as left[i] reads only layers[:i-1]; each prefix gets its
+    own right chain. Row tables are shared across positions and prefixes
+    wherever the absorption vectors agree; for [A]*d with coefficient 2 and
+    D = A 1 they are all exactly one, so one uniform pivot table and one
+    step table over A serve every prefix.
     """
 
     def __init__(self, layers, coeffs, D):
-        self.layers = layers
-        self.coeffs = np.asarray(coeffs, dtype=np.float64)
-        self.D = D
+        # layers are WeightedGraphs or sparse matrices; a CSR layer is used as is, so
+        # equal layers keep one identity across positions and share tables
+        csr = {}
+        mats = [csr.setdefault(id(x), x.adjacency if isinstance(x, WeightedGraph) else x.tocsr()) for x in layers]
+        coeffs = np.asarray(coeffs, dtype=np.float64)
+        D = np.asarray(D, dtype=np.float64)
+        if len(coeffs) != len(mats):
+            raise ValidationError("one coefficient per layer required")
+        if np.any(coeffs <= 0):
+            raise ValidationError("coefficients must be positive")
+        for j, mat in enumerate(mats):
+            if mat.nnz == 0:
+                raise ValidationError(f"layer {j} has an empty edge set")
+            if mat.shape != (len(D), len(D)):
+                raise ValidationError("layers must share the base vertex set")
+        self.layers, self.coeffs, self.D = mats, coeffs, D
+        self._left = [None, np.ones(len(D))]  # left[i] for i = 1..r
+        for mat in mats[:-1]:
+            self._left.append(self._absorb(mat, self._left[-1]))
         self._tables = {}
         self._templates = {}
 
-    def template(self, j) -> WalkTemplate:
-        """The template over layers[:j]."""
+    def _absorb(self, mat, vec):
+        return np.divide(mat @ vec, self.D, out=np.zeros(len(self.D)), where=self.D > 0)
+
+    def _right(self, j):
+        """right[i] for i = 1..j of prefix j, absorbed from layer j backwards."""
         if not 1 <= j <= len(self.layers):
             raise ValidationError(f"prefix length must lie in 1..{len(self.layers)}")
-        if j not in self._templates:
-            self._templates[j] = _assemble(*_absorption(self.layers[:j], self.coeffs[:j], self.D), self._tables)
+        right = [None] * (j + 1)
+        right[j] = np.ones(len(self.D))
+        for i in range(j - 1, 0, -1):
+            right[i] = self._absorb(self.layers[i], right[i + 1])
+        return right
+
+    def masses(self, prefixes):
+        """tau_total of template(j) for each j in prefixes, without its tables."""
+        masses = []
+        for j in prefixes:
+            right = self._right(j)
+            pivot = [
+                np.repeat(self._left[i], np.diff(m.indptr)) @ right[i][m.indices]
+                for i, m in enumerate(self.layers[:j], 1)
+            ]
+            masses.append(0.5 * float(self.coeffs[:j] @ pivot))
+        return masses
+
+    def template(self, j) -> WalkTemplate:
+        """The template over layers[:j].
+
+        Tables are keyed by (kind, layer, weight vector), so equal vectors on
+        the same layer share one table across positions and prefixes.
+        """
+        if j in self._templates:
+            return self._templates[j]
+        right, left, mats, tables = self._right(j), self._left, self.layers, self._tables
+
+        def table(key, make):
+            if key not in tables:
+                tables[key] = make()
+            return tables[key]
+
+        rows = [
+            table(("rows", id(m)), lambda m=m: np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)))
+            for m in mats[:j]
+        ]
+
+        def pivot(i):
+            mat, lv, rv = mats[i - 1], left[i], right[i]
+            return table(
+                ("pivot", id(mat), lv.tobytes(), rv.tobytes()),
+                lambda: _RowTable(np.array([0, mat.nnz]), lv[rows[i - 1]] * rv[mat.indices]),
+            )
+
+        def step(i, vec):
+            mat = mats[i - 1]
+            return table(
+                ("step", id(mat), vec.tobytes()),
+                lambda: _RowTable(mat.indptr, mat.data * vec[mat.indices]),
+            )
+
+        pivots = [pivot(i) for i in range(1, j + 1)]
+        mass = self.coeffs[:j] * np.array([float(t.total[0]) for t in pivots])
+        self._templates[j] = WalkTemplate(
+            layers=mats[:j],
+            coeffs=self.coeffs[:j],
+            tau_total=0.5 * float(mass.sum()),
+            _pivot_mass=mass,
+            _pivots=pivots,
+            _rows=rows,
+            _back=[step(i, left[i]) if i < j else None for i in range(1, j + 1)],
+            _fwd=[step(i, right[i]) if i > 1 else None for i in range(1, j + 1)],
+        )
         return self._templates[j]
 
 
@@ -358,5 +334,5 @@ def graph_sampling(draw, tau_total, M, rng, n):
         chunk = sp.coo_matrix((wt, (lo, hi)), shape=(n, n)).tocsr()
         acc = acc + chunk
         done += count
-    acc = sp.triu(acc, k=1).tocoo()
+    acc = acc.tocoo()  # every open walk adds at lo < hi
     return WeightedGraph(n, acc.row, acc.col, acc.data)

@@ -8,13 +8,14 @@ and for the high-degree composition steps. Its sample count M is c_s ln n /
 eps^2 times the D-normalised walk mass sum_j alpha_j tau(j). It computes
 the stage exactly, by a chain of products, when that chain costs at most M
 multiply-adds (exact_walk_graph; the chain turns dense from the first
-product costing n^2); otherwise it draws M walks with
-masses tau_p = w(p) Z(p), prefixes picked proportionally to alpha_j tau(j),
-and adds tau / (M Z(p)) on each open walk's endpoint edge, tau being the
-sum of the alpha_j tau(j). two_stage, the one driver of every sparsifier,
-follows stage one with stage two, which re-sparsifies the explicit result
-down to the n log n budget using effective resistances. A disconnected graph
-runs whole: walks never leave a component; only resparsify splits it.
+product costing n^2); otherwise it draws M walks with masses
+tau_p = w(p) Z(p) from the SamplerIndex that gave the tau(j), prefixes
+picked proportionally to alpha_j tau(j), and adds tau / (M Z(p)) on each
+open walk's endpoint edge, tau being the sum of the alpha_j tau(j).
+two_stage, the one driver of every sparsifier, follows stage one with stage
+two, which re-sparsifies the explicit result down to the n log n budget
+using effective resistances. A disconnected graph runs whole: walks never
+leave a component; only resparsify splits it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import scipy.sparse as sp
 
 from .errors import InputRefusedError, ValidationError
 from .graph import PolyCoeffs, WeightedGraph
-from .sampling import PathBatch, SamplerIndex, graph_sampling, prefix_masses, sample_paths, substream
+from .sampling import PathBatch, SamplerIndex, graph_sampling, sample_paths, substream
 
 log = logging.getLogger(__name__)
 
@@ -126,19 +127,20 @@ def stage_one(layers, coeffs, alpha, D, eps, cfg: SparsifyConfig, rng) -> Weight
     """Stage one of sum_j alpha_j L_1 D^-1 L_2 ... D^-1 L_j at eps.
 
     M = ceil(c_s ln n / eps^2 * sum_j alpha_j tau(j)), with tau(j) the total
-    mass of the walks through layers[:j] under coeffs[:j] and D. The stage
-    is exact when exact_walk_graph allows it; otherwise M walks are drawn,
-    their prefix picked proportionally to alpha_j tau(j).
+    mass of the walks through layers[:j] under coeffs[:j] and D, read from
+    the stage's one SamplerIndex. The stage is exact when exact_walk_graph
+    allows it; otherwise M walks are drawn from that index, their prefix
+    picked proportionally to alpha_j tau(j).
     """
     n = len(D)
+    idx = SamplerIndex(layers, coeffs, D)
     prefixes = [j for j, a in enumerate(alpha, start=1) if a > 0]
-    mass = [alpha[j - 1] * t for j, t in zip(prefixes, prefix_masses(layers, coeffs, D, prefixes))]
+    mass = [alpha[j - 1] * t for j, t in zip(prefixes, idx.masses(prefixes))]
     tau = sum(mass)
     M = int(math.ceil(cfg.oversample * _log_n(n) / eps**2 * tau))
     H = exact_walk_graph(layers, D, M, alpha)
     if H is not None:
         return H
-    idx = SamplerIndex(layers, coeffs, D)
     probs = np.array(mass) / tau
 
     def draw(count, gen):

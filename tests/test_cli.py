@@ -108,6 +108,17 @@ class TestExitCodes:
                      "-o", str(tmp_path / "x.mtx")])
         assert code == 4
 
+    def test_resistance_refused_disconnected(self, tmp_path, capsys):
+        G = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        p = tmp_path / "disc.mtx"
+        save_graph(G, p)
+        q = tmp_path / "queries.txt"
+        q.write_text("0 1\n")
+        code = main(["resistance", "-i", str(p), "--queries", str(q)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "input graph G is disconnected" in err and "allow_disconnected" not in err
+
     def test_refused_bipartite_high_degree(self, tmp_path):
         G = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
         p = tmp_path / "c4.mtx"

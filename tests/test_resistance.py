@@ -216,6 +216,25 @@ class TestErOracle:
         with pytest.raises(InputRefusedError, match=f"disconnected .*{isolated} isolated vertices"):
             er_oracle_build(G, alpha, 1.0, RngStream(0), delta=0.8, cfg=cfg)
 
+    @pytest.mark.parametrize(
+        "cfg", [None, SparsifyConfig(epsilon=0.5, allow_disconnected=True)], ids=["default", "allow_disconnected"]
+    )
+    def test_disconnected_input_refused(self, cfg, monkeypatch):
+        # refused before any sparsifier is built, naming the input graph, with
+        # neither an option the resistance CLI lacks nor the oversample constant
+        from walksparse import resistance
+
+        def unreachable(*args):
+            raise AssertionError("sparsified a disconnected input")
+
+        monkeypatch.setattr(resistance, "sparsify_poly", unreachable)
+        tri = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
+        G = WeightedGraph.from_edges(6, tri + [(u + 3, v + 3, w) for u, v, w in tri])
+        with pytest.raises(InputRefusedError, match=r"input graph G is disconnected \(2 components\)") as err:
+            er_oracle_build(G, PolyCoeffs.parse("0.5,0.5"), 0.5, RngStream(0), cfg=cfg)
+        assert "infinite" in str(err.value)
+        assert "allow_disconnected" not in str(err.value) and "oversample" not in str(err.value)
+
     def test_cfg_epsilon_is_replaced_by_eps(self):
         # cfg supplies oversample and second_stage; the sparsifier is built at eps
         G = er_graph(40, 0.3, 1)

@@ -14,7 +14,7 @@ from walksparse import (
     sample_template_paths,
 )
 from walksparse.oracle import enumerate_paths
-from walksparse.sampling import _RowTable, prefix_masses
+from walksparse.sampling import _RowTable
 
 from conftest import er_graph, random_sddm, ring_graph
 
@@ -143,6 +143,15 @@ class TestSamplePaths:
         with pytest.raises(ValidationError):
             sample_paths(monomial_index(triangle, 2), 3, 10, RngStream(0))
 
+    @pytest.mark.parametrize("prefixes", [[3, 0], [3], [0], [2, 3], [-1]])
+    def test_masses_refuse_prefix_out_of_range(self, triangle, prefixes):
+        # masses and template refuse the same prefix lengths: a prefix past the
+        # layer list is not the whole list's mass, and prefix 0 has none
+        idx = monomial_index(triangle, 2)
+        with pytest.raises(ValidationError, match=r"prefix length must lie in 1\.\.2"):
+            idx.masses(prefixes)
+        assert idx.masses([1, 2]) == pytest.approx([2.0 * triangle.m, 4.0 * triangle.m], rel=1e-12)
+
 
 class TestGraphSampling:
     def test_unbiased_estimator(self, triangle):
@@ -174,7 +183,7 @@ class TestGraphSampling:
         cfg = SparsifyConfig(epsilon=1.0, oversample=3502.0, second_stage=False)  # M just above 400,000
         H = sparsify.stage_one(layers, [2.0] * 3, alpha.alpha, M.diag, 1.0, cfg, RngStream(9))
         # the mixture's total is the D-normalised mass, below the 2 r m sum of D = A 1
-        tau = sum(a * t for a, t in zip(alpha.alpha, prefix_masses(layers, [2.0] * 3, M.diag, [1, 2, 3])))
+        tau = sum(a * t for a, t in zip(alpha.alpha, SamplerIndex(layers, [2.0] * 3, M.diag).masses([1, 2, 3])))
         assert seen["tau"] == pytest.approx(tau, rel=1e-12)
         assert tau < sum(a * 2.0 * r * M.offdiag.m for r, a in enumerate(alpha.alpha, start=1))
         assert seen["count"] >= 400000
@@ -213,7 +222,7 @@ class TestWalkTemplates:
         t2 = build_template([triangle, triangle], [5.0, 5.0], triangle.degree)
         assert t2.tau_total == pytest.approx(5 * t1.tau_total)
 
-    def test_prefix_masses_match_templates(self):
+    def test_masses_match_templates(self):
         # one left chain for all prefixes gives each template's table-built total
         G = er_graph(20, 0.3, 4, weighted=True)
         H = er_graph(20, 0.2, 6, weighted=True)
@@ -225,7 +234,9 @@ class TestWalkTemplates:
         ):
             prefixes = list(range(1, len(layers) + 1))
             expected = [build_template(layers[:j], coeffs[:j], D).tau_total for j in prefixes]
-            np.testing.assert_allclose(prefix_masses(layers, coeffs, D, prefixes), expected, rtol=1e-12)
+            idx = SamplerIndex(layers, coeffs, D)
+            np.testing.assert_allclose(idx.masses(prefixes), expected, rtol=1e-12)
+            assert [idx.template(j).tau_total for j in prefixes] == expected
 
     def test_layer_shape_mismatch(self, triangle, single_edge):
         with pytest.raises(ValidationError):

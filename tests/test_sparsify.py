@@ -24,7 +24,7 @@ from walksparse import (
     sparsify_poly,
 )
 from walksparse import sparsify
-from walksparse.sampling import prefix_masses
+from walksparse.sampling import SamplerIndex
 from walksparse.sparsify import stage_two_edge_budget
 
 from conftest import barbell_graph, er_graph, path_graph, random_sddm, ring_graph, star_graph
@@ -33,7 +33,7 @@ from references import csr_walk_graph
 
 def stage_one_budget(G, alpha, cfg):
     """M = ceil(c_s ln n / eps1^2 * sum_r alpha_r tau_r), tau_r the mass of [A]*r under D = A 1."""
-    masses = prefix_masses([G] * alpha.d, [2.0] * alpha.d, G.degree, range(1, alpha.d + 1))
+    masses = SamplerIndex([G] * alpha.d, [2.0] * alpha.d, G.degree).masses(range(1, alpha.d + 1))
     tau = sum(a * t for a, t in zip(alpha.alpha, masses) if a > 0)
     return math.ceil(cfg.oversample * math.log(G.n) / cfg.eps_stage_one**2 * tau)
 
