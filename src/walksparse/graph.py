@@ -1,8 +1,10 @@
 """Core graph and matrix data model, validation, and file I/O.
 
 Graphs are undirected with strictly positive edge weights, stored as a
-canonical edge list (u < v) plus a CSR adjacency for fast traversal.
-Vertex ids are dense 0-based integers; loaders remap external ids.
+canonical edge list (u < v, sorted by (u, v)); input already in that order
+is not re-sorted. The CSR adjacency and the degree vector are built on
+first read. Vertex ids are dense 0-based integers; loaders remap external
+ids.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import io
 import logging
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,49 +30,53 @@ DENSE_THRESHOLD = 512
 
 
 class WeightedGraph:
-    """Symmetric nonnegative sparse adjacency with a weighted degree vector.
+    """Undirected graph with strictly positive weights, as the canonical edge
+    list edge_u < edge_v sorted by (edge_u, edge_v) with no duplicate.
 
-    Immutable after construction; safe to share across threads.
+    Edges that arrive in that order are kept as they are; others are sorted
+    once. adjacency (the symmetric CSR matrix A, rows sorted) and degree
+    (A 1) are built on first read, so a graph that is only passed on or
+    written out never builds them. Immutable after construction; safe to
+    share across threads (a race builds a cache twice, with equal bytes).
     """
 
     def __init__(self, n, u, v, w):
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
-        w = np.asarray(w, dtype=np.float64)
+        w = np.array(w, dtype=np.float64)  # owned: an in-order edge list is not copied again
         if u.shape != v.shape or u.shape != w.shape:
             raise ValidationError("edge arrays must have equal length")
         if not np.all(np.isfinite(w) & (w > 0)):
             raise ValidationError("edge weights must be finite and strictly positive")
-        if np.any(u == v):
-            raise ValidationError("self-loops are not stored")
-        if len(u) and (u.min() < 0 or max(u.max(), v.max()) >= n):
-            raise ValidationError("vertex id out of range")
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
-        order = np.lexsort((hi, lo))
+        if np.any(lo == hi):
+            raise ValidationError("self-loops are not stored")
+        if len(lo) and (lo.min() < 0 or hi.max() >= n):
+            raise ValidationError("vertex id out of range")
         self.n = int(n)
-        self.edge_u = lo[order]
-        self.edge_v = hi[order]
-        self.edge_w = w[order]
-        if len(self.edge_u) > 1:
-            same = (np.diff(self.edge_u) == 0) & (np.diff(self.edge_v) == 0)
-            if np.any(same):
+        # strictly increasing (lo, hi) keys hold no duplicate and need no sort
+        if not np.all((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))):
+            # lo * n + hi < n^2 fits an int64 up to n = 2^31
+            order = np.argsort(lo * self.n + hi, kind="stable") if self.n <= 2**31 else np.lexsort((hi, lo))
+            lo, hi, w = lo[order], hi[order], w[order]
+            if np.any((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])):
                 raise ValidationError("duplicate edges must be merged before construction")
+        self.edge_u, self.edge_v, self.edge_w = lo, hi, w
         self.self_loops_dropped = 0
-        adj = sp.coo_matrix(
-            (
-                np.concatenate([self.edge_w, self.edge_w]),
-                (
-                    np.concatenate([self.edge_u, self.edge_v]),
-                    np.concatenate([self.edge_v, self.edge_u]),
-                ),
-            ),
-            shape=(self.n, self.n),
-        )
-        self.adjacency = adj.tocsr()
-        self.adjacency.sort_indices()
+
+    @cached_property
+    def adjacency(self):
+        """A = U + U^T, U the upper triangle's CSR; their patterns are disjoint,
+        so each entry is w + 0 = w and each row comes out sorted."""
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(self.edge_u, minlength=self.n))])
+        upper = sp.csr_matrix((self.edge_w, self.edge_v, indptr), shape=(self.n, self.n))
+        return upper + upper.T
+
+    @cached_property
+    def degree(self):
         # A 1, bit for bit the row sums the walk sampler and exact chain use
-        self.degree = self.adjacency @ np.ones(self.n)
+        return self.adjacency @ np.ones(self.n)
 
     @property
     def m(self):
@@ -260,7 +267,7 @@ class SddmMatrix:
 
 _ROW = [("u", np.int64), ("v", np.int64), ("w", np.float64)]
 _MM_HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
-_WRITE_CHUNK = 1 << 16
+_WRITE_CHUNK = 1 << 14  # a chunk's temporaries stay in cache
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 # ASCII of each 4-digit group, plain (ids) and with an empty byte after each
 # digit that can take a '.' (weights), and masks that keep some of a group
@@ -271,13 +278,19 @@ _FROM = (np.arange(4) >= np.arange(5)[:, None]) * np.uint8(255)  # [a]: digits a
 _KEEP_LAST = _FROM[::-1].copy().view("<u4").ravel()  # [c]: the last c digits
 _KEEP_FROM, _KEEP_BELOW = (np.stack([m, 0 * m], -1).reshape(5, 8).view("<u8").ravel()
                            for m in (_FROM, _FROM[::-1, ::-1]))  # spaced; [b]: digits 0..b-1
+# [j, c]: spaced weight group j's chars from char c = first on (j < 2) or up to c = last
+_KEEP = np.stack([_KEEP_FROM[np.clip(np.arange(24) - 4 * j, 0, 4)] if j < 2
+                  else _KEEP_BELOW[np.clip(np.arange(24) + 1 - 4 * j, 0, 4)] for j in range(6)])
 _SCALE = 10.0 ** np.arange(21)  # 10^(16-k), exact doubles
 
 
 def _merge_duplicate_edges(u, v, w):
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    key = lo * (np.max(hi, initial=0) + 1) + hi
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    a, b, top = lo, hi, int(np.max(hi, initial=0)) + 1
+    if top > 2**31:  # lo * top + hi would overflow; ranks among the ids keep the order
+        ids, ranks = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+        a, b, top = ranks[: len(lo)], ranks[len(lo):], len(ids)
+    _, first, inv = np.unique(a * top + b, return_index=True, return_inverse=True)
     return lo[first], hi[first], np.bincount(inv, weights=w, minlength=len(first))
 
 
@@ -420,16 +433,23 @@ def _weights(w, rows):
     err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     N = p.astype(np.int64) + np.rint(err).astype(np.int64)
     ok &= (N >= 10**16) & (N < 10**17)
-    # '0000000' and the 17 digits of N, chars 0-23; '%.17g' prints chars
-    # first..last with a '.' after char 7 + k if a fraction digit is left
-    g = [0, *(np.where(ok, N, 10**16) // 10 ** (4 * j) % 10000 for j in range(4, -1, -1))]
-    last = np.select([g[j] != 0 for j in range(5, 1, -1)],  # the last nonzero digit
+    # '0000000' and the 17 digits of N, chars 0-23 in groups g[0..5]; '%.17g'
+    # prints chars first..last with a '.' after char 7 + k if a fraction digit is left
+    g = np.zeros((6, len(w)), np.int64)
+    g[5] = np.where(ok, N, 10**16)
+    for j in range(5, 1, -1):  # x - x // 10^4 * 10^4 is faster than x % 10^4
+        g[j - 1] = g[j] // 10000
+        g[j] -= g[j - 1] * 10000
+    last = np.select(g[:1:-1] != 0,  # the last nonzero digit
                      [4 * j + 3 - _TRAILING_ZEROS[g[j]] for j in range(5, 1, -1)], 7)
     first, last = 7 + np.minimum(k, 0), np.maximum(last, 7 + k)
-    dot = (last > 7 + k) * (np.uint64(46) << (16 * ((7 + k) % 4) + 8).astype(np.uint64))
+    cols = _SPACED[g]
     for j in range(6):  # first lies in chars 3-7, last in chars 7-23
-        keep = _KEEP_FROM[np.clip(first - 4 * j, 0, 4)] if j < 2 else _KEEP_BELOW[np.clip(last + 1 - 4 * j, 0, 4)]
-        rows["w"][:, j] = (_SPACED[g[j]] & keep) + np.where((7 + k) // 4 == j, dot, 0)
+        cols[j] &= _KEEP[j, first if j < 2 else last]
+    frac = np.flatnonzero(last > 7 + k)
+    dot = 7 + k[frac]
+    cols[dot // 4, frac] |= np.uint64(46) << (16 * (dot % 4) + 8).astype(np.uint64)
+    rows["w"] = cols.T
     rows["sign"] = np.where(w < 0, 45, 0)
     return ok
 
@@ -437,13 +457,19 @@ def _weights(w, rows):
 def _write_rows(fh, u, v, w):
     """Write 'u v w' lines, byte for byte "%d %d %.17g\\n" % row. A chunk is one
     NUL-padded record per row, made by array arithmetic, whose NULs are deleted
-    in one pass; the rows _weights leaves out are formatted by % and spliced in."""
+    in one pass; the rows _weights leaves out are formatted by % and spliced in.
+    Ids below the row count (and 10^8) are formatted once, into a table that
+    each chunk gathers from; larger ones are formatted row by row."""
+    top = max(u.max(initial=1), v.max(initial=1))
+    ids = -(-int(np.searchsorted(_POW10, top, side="right")) // 4)
+    table = _ids(np.arange(top + 1), ids).view(f"<u{4 * ids}").ravel() if top < len(w) and ids <= 2 else None
     for s in range(0, len(w), _WRITE_CHUNK):
         cu, cv, cw = (c[s : s + _WRITE_CHUNK] for c in (u, v, w))
-        ids = -(-int(np.searchsorted(_POW10, max(cu.max(), cv.max(), 1), side="right")) // 4)
         rows = np.zeros(len(cw), [("u", "<u4", ids), ("sp", "u1"), ("v", "<u4", ids), ("sp2", "u1"),
                                   ("sign", "u1"), ("w", "<u8", 6), ("nl", "u1")])
-        rows["u"], rows["v"], rows["sp"], rows["sp2"], rows["nl"] = _ids(cu, ids), _ids(cv, ids), 32, 32, 10
+        for name, x in (("u", cu), ("v", cv)):  # a negative id is clipped here and spliced in by %
+            rows[name] = _ids(x, ids) if table is None else table.take(x, mode="clip").view("<u4").reshape(-1, ids)
+        rows["sp"], rows["sp2"], rows["nl"] = 32, 32, 10
         ok = _weights(cw, rows) & (cu >= 0) & (cv >= 0)
         rows[~ok] = 0
         text = rows.tobytes().translate(None, b"\0").decode("ascii")

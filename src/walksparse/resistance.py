@@ -12,7 +12,9 @@ works one component at a time.
 
 from __future__ import annotations
 
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,6 +93,41 @@ def _default_method(n, delta):
     return "dense-exact" if n <= max(DENSE_THRESHOLD, _sketch_width(n, delta)) else "sketch"
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of scipy's bundled OpenBLAS, the library
+    lapack.dpotrf runs in, or None where no library in scipy.libs exports
+    scipy_openblas_get_num_threads and scipy_openblas_set_num_threads."""
+    import ctypes
+    import glob
+    import os
+
+    import scipy
+
+    for path in glob.glob(os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs", "libscipy_openblas*")):
+        lib = ctypes.CDLL(path)  # the library already loaded, not a second copy
+        get, put = (getattr(lib, f"scipy_openblas_{x}_num_threads", None) for x in ("get", "set"))
+        if get and put:
+            get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with scipy's bundled OpenBLAS at one thread, then restore its count."""
+    if (threads := _openblas_threads()) is None:
+        yield
+        return
+    get, put = threads
+    count = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(count)
+
+
 def _grounded_inverse(G: WeightedGraph):
     """n x n X holding L^-1 grounded at g = argmax(degree), zero in row and column g.
 
@@ -98,20 +135,31 @@ def _grounded_inverse(G: WeightedGraph):
     R(u, v) = X[u, u] + X[v, v] - 2 X[min(u, v), max(u, v)]. G must be
     connected, which makes the grounded Laplacian positive definite.
     Grounding at the heaviest vertex keeps the Cholesky pivots away from
-    roundoff when edge weights span many orders of magnitude.
+    roundoff when edge weights span many orders of magnitude. The grounded
+    Laplacian's upper triangle, all dpotrf reads, is set from the edges.
+    dpotrf's and dpotri's bytes depend on the OpenBLAS thread count, so
+    they run at one thread; where _openblas_threads finds no library (a
+    scipy not installed from a wheel), the count is left alone and the
+    bytes vary with it.
     """
-    keep = np.arange(G.n) != np.argmax(G.degree)
-    red = G.laplacian().tocsr()[keep][:, keep].toarray(order="F")
-    chol, info = lapack.dpotrf(red, lower=0, clean=1, overwrite_a=1)
-    if info == 0:
-        chol, info = lapack.dpotri(chol, lower=0, overwrite_c=1)
+    n, g = G.n, int(np.argmax(G.degree))
+    away = (G.edge_u != g) & (G.edge_v != g)
+    u, v = (x[away] - (x[away] > g) for x in (G.edge_u, G.edge_v))  # ids without g; u < v
+    red = np.zeros((n - 1, n - 1), order="F")
+    red[u, v] = -G.edge_w[away]
+    np.fill_diagonal(red, np.delete(G.degree, g))
+    with _one_blas_thread():
+        chol, info = lapack.dpotrf(red, lower=0, clean=1, overwrite_a=1)
+        if info == 0:
+            chol, info = lapack.dpotri(chol, lower=0, overwrite_c=1)
     if info != 0:
         raise InputRefusedError(
             f"grounded Laplacian is not numerically positive definite (pivot {info}); "
             "edge weights span too many orders of magnitude for exact resistances"
         )
-    X = np.zeros((G.n, G.n))
-    X[np.ix_(keep, keep)] = chol
+    X = np.zeros((n, n))
+    X[:g, :g], X[:g, g + 1:] = chol[:g, :g], chol[:g, g:]
+    X[g + 1:, :g], X[g + 1:, g + 1:] = chol[g:, :g], chol[g:, g:]
     return X
 
 

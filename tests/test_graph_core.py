@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,8 @@ from walksparse import (
     save_sddm,
 )
 from walksparse import graph
+from walksparse.sampling import RngStream
+from walksparse.sparsify import SparsifyConfig, sparsify_poly
 
 from conftest import er_graph, path_graph
 
@@ -87,6 +90,83 @@ class TestWeightedGraph:
         G = er_graph(20, 0.3, 3)
         L = G.laplacian_dense()
         assert np.max(np.abs(L.sum(axis=1))) < 1e-9
+
+    def test_shuffled_and_swapped_input_build_the_same_graph(self):
+        ref = er_graph(60, 0.15, 4, weighted=True)
+        gen = np.random.default_rng(7)
+        perm = gen.permutation(ref.m)
+        swap = gen.random(ref.m) < 0.5
+        u, v = np.where(swap, ref.edge_v, ref.edge_u), np.where(swap, ref.edge_u, ref.edge_v)
+        for G in (WeightedGraph(ref.n, ref.edge_u, ref.edge_v, ref.edge_w),
+                  WeightedGraph(ref.n, ref.edge_u[perm], ref.edge_v[perm], ref.edge_w[perm]),
+                  WeightedGraph(ref.n, u[perm], v[perm], ref.edge_w[perm]),
+                  WeightedGraph(ref.n, ref.edge_v, ref.edge_u, ref.edge_w)):
+            A, B = G.adjacency, ref.adjacency
+            for x, y in [(G.edge_u, ref.edge_u), (G.edge_v, ref.edge_v), (G.edge_w, ref.edge_w),
+                         (A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data), (G.degree, ref.degree)]:
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            assert A.has_sorted_indices
+            G.check_invariants()
+
+    def test_adjacency_matches_coo_build(self):
+        G = er_graph(50, 0.2, 8, weighted=True)
+        coo = sp.coo_matrix((np.concatenate([G.edge_w, G.edge_w]),
+                             (np.concatenate([G.edge_u, G.edge_v]), np.concatenate([G.edge_v, G.edge_u]))),
+                            shape=(G.n, G.n)).tocsr()
+        coo.sort_indices()
+        for x, y in [(G.adjacency.indptr, coo.indptr), (G.adjacency.indices, coo.indices),
+                     (G.adjacency.data, coo.data), (G.degree, coo @ np.ones(G.n))]:
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("u, v", [([0, 0, 1], [1, 1, 2]), ([1, 0, 1], [2, 1, 0]), ([0, 1, 2], [1, 2, 1])],
+                             ids=["sorted", "unsorted", "swapped"])
+    def test_duplicate_edge_refused(self, u, v):
+        with pytest.raises(ValidationError, match="duplicate"):
+            WeightedGraph(3, u, v, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("u, v", [([1], [-1]), ([-1], [1]), ([0], [3])])
+    def test_vertex_out_of_range_refused(self, u, v):
+        with pytest.raises(ValidationError, match="out of range"):
+            WeightedGraph(3, u, v, [1.0])
+
+    @pytest.mark.parametrize("n", [2**31, 2**40])
+    def test_sort_key_does_not_overflow(self, n):
+        # the arrays built on first read would not fit in memory; none is built
+        assert "adjacency" not in vars(WeightedGraph(3, [0], [1], [1.0]))  # else stop here
+        G = WeightedGraph(n, [n - 1, 5, n - 2], [n - 2, n - 1, 0], [1.0, 2.0, 3.0])
+        assert G.edge_u.tolist() == [0, 5, n - 2] and G.edge_v.tolist() == [n - 2, n - 1, n - 1]
+        assert G.edge_w.tolist() == [3.0, 2.0, 1.0]
+        assert "adjacency" not in vars(G) and "degree" not in vars(G)
+        with pytest.raises(ValidationError, match="duplicate"):
+            WeightedGraph(n, [n - 1, 5, n - 2], [n - 2, n - 1, n - 1], [1.0, 2.0, 3.0])
+
+    def test_merge_key_does_not_overflow(self):
+        # 5 * 2^40 and (5 + 2^24) * 2^40 are equal modulo 2^64
+        assert "adjacency" not in vars(WeightedGraph(3, [0], [1], [1.0]))  # else stop here
+        n = 2**40
+        G = WeightedGraph.from_edges(n, [(5, n - 1, 1.0), (5 + 2**24, n - 1, 2.0), (n - 1, 5, 0.5)])
+        assert G.edge_u.tolist() == [5, 5 + 2**24] and G.edge_w.tolist() == [1.5, 2.0]
+
+    def test_canonical_input_is_not_resorted(self, monkeypatch):
+        G = er_graph(30, 0.2, 2, weighted=True)
+        monkeypatch.setattr(graph.np, "argsort", None)
+        monkeypatch.setattr(graph.np, "lexsort", None)
+        assert WeightedGraph(G.n, G.edge_u, G.edge_v, G.edge_w) == G
+
+    def test_output_graph_builds_no_adjacency(self, tmp_path, caplog):
+        # poly-grid's path: the stage-one product is only written out
+        k = 12
+        idx = np.arange(k * k).reshape(k, k)
+        u = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+        v = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+        G = WeightedGraph(k * k, u, v, np.exp(np.random.default_rng(3).uniform(-1, 1, len(u))))
+        cfg = SparsifyConfig(epsilon=1.0, oversample=1.0)
+        with caplog.at_level(logging.INFO, logger="walksparse"):
+            H = sparsify_poly(G, PolyCoeffs.parse("0.5,0.5"), cfg, RngStream(1))
+        assert "stage 1 exact" in caplog.text
+        save_graph(H, tmp_path / "h.mtx")
+        assert "adjacency" not in vars(H) and "degree" not in vars(H)
+        assert "adjacency" in vars(G)  # read by the walks' layers
 
 
 class TestPolyCoeffs:
@@ -292,6 +372,31 @@ class TestRowWriter:
         u = [0, 9, 10, 9999, 10000, 99999999, 100000000, 2**62 + 12345]
         assert_rows_match(np.full(len(u), 0.25), u, u[::-1])
         assert_rows_match(np.full(len(u), 1e-9), u, u[::-1])  # the % path
+
+    @pytest.mark.parametrize("top", [99, 100], ids=["table", "per-row"])
+    def test_largest_id_at_the_row_count(self, monkeypatch, top):
+        # ids below the row count are formatted once, into a table of 0..top
+        lengths = []
+        ids = graph._ids
+        monkeypatch.setattr(graph, "_ids", lambda x, count: lengths.append(len(x)) or ids(x, count))
+        u = np.arange(100)
+        u[50] = top
+        assert_rows_match(np.full(100, 0.5), u, u[::-1])
+        assert lengths == ([top + 1] if top < 100 else [100, 100])
+
+    @pytest.mark.parametrize("rows", [10050, 30], ids=["table", "per-row"])
+    def test_ids_crossing_a_digit_group(self, rows):
+        u = np.arange(rows) if rows > 10000 else np.arange(9985, 9985 + rows)  # 9999 and 10000
+        assert_rows_match(10 ** np.random.default_rng(2).uniform(-3, 3, rows), u, u[::-1])
+
+    def test_negative_ids_among_table_ids(self):
+        u = np.arange(2000)
+        v = u[::-1].copy()
+        u[[0, 7, 1999]] = [-1, -10000, -(2**62)]
+        v[[7, 500]] = [-99999999, -5]
+        w = 10 ** np.random.default_rng(4).uniform(-2, 2, 2000)
+        w[500] = 1e-9  # a % row for its weight as well
+        assert_rows_match(w, u, v)
 
     @pytest.mark.parametrize("delta", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
     def test_chunk_edges(self, delta):

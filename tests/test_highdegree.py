@@ -172,14 +172,13 @@ class TestDriver:
     @pytest.mark.usefixtures("sampled")
     def test_sampled_bytes_pinned(self, tmp_path):
         # the sampled PLUS and SQUARE steps' output bytes for this seed are fixed
-        # at 2-4 BLAS threads. At OPENBLAS_NUM_THREADS=1 this digest does not
-        # hold: stage two's exact resistances come from dpotrf/dpotri in
-        # resistance._grounded_inverse, whose bytes depend on the thread count
+        # at every BLAS thread count: stage two's exact resistances come from
+        # dpotrf/dpotri in resistance._grounded_inverse, which pins them to one
         G = er_graph(40, 0.2, 5)
         cfg = SparsifyConfig(epsilon=0.75, oversample=0.3)
         save_graph(sparsify_high_degree(G, 12, 0.75, cfg, RngStream(3)), tmp_path / "h.mtx")
         digest = hashlib.sha256((tmp_path / "h.mtx").read_bytes()).hexdigest()
-        assert digest == "ea913e2875c027ec3ceb04726dfa73b7fdaba0ff228688402d26f51491648655"
+        assert digest == "a626f7514e74725b7c58d54c1dd98e7b2cbe802c805389da15f7b90fc6cc11d5"
 
     def test_bipartite_refused(self):
         ring6 = ring_graph(6)

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from walksparse import (
     ConvergenceError,
@@ -19,11 +23,12 @@ from walksparse import (
     resparsify,
     similarity_check,
 )
+from walksparse import resistance
 from walksparse.resistance import _default_method, _grounded_solve, _incidence_rows, _sketch_potentials
 from walksparse.sampling import _as_generator
 from walksparse.sparsify import sparsify_poly, stage_two_edge_budget
 
-from conftest import er_graph, path_graph, ring_graph
+from conftest import er_graph, path_graph, ring_graph, star_graph
 from references import exact_resistances
 
 
@@ -253,3 +258,42 @@ class TestErOracle:
         oracle = er_oracle_build(triangle, PolyCoeffs.parse("1"), 0.3, RngStream(0))
         with pytest.raises(ValidationError):
             oracle.query(0, 5)
+
+
+def _grounded_inverse_reference(G):
+    """The grounded inverse from the sparse Laplacian's slice, scattered back by np.ix_."""
+    keep = np.arange(G.n) != np.argmax(G.degree)
+    red = G.laplacian().tocsr()[keep][:, keep].toarray(order="F")
+    with resistance._one_blas_thread():
+        chol, info = lapack.dpotrf(red, lower=0, clean=1, overwrite_a=1)
+        chol, info = lapack.dpotri(chol, lower=0, overwrite_c=1)
+    X = np.zeros((G.n, G.n))
+    X[np.ix_(keep, keep)] = chol
+    return X
+
+
+class TestGroundedInverse:
+    @pytest.mark.parametrize("G", [er_graph(120, 0.1, 2, weighted=True), star_graph(9),
+                                   WeightedGraph(9, np.arange(8), np.full(8, 8), np.ones(8)),
+                                   path_graph(10 ** np.linspace(-6, 6, 29)), WeightedGraph(2, [0], [1], [0.5])],
+                             ids=["er", "ground-first", "ground-last", "wide-path", "n2"])
+    def test_bytes_match_sparse_laplacian_slice(self, G):
+        assert resistance._grounded_inverse(G).tobytes() == _grounded_inverse_reference(G).tobytes()
+
+    def test_bytes_independent_of_blas_threads(self):
+        # dpotrf and dpotri round differently at 1 and 2 OpenBLAS threads unless pinned
+        if resistance._openblas_threads() is None:
+            pytest.skip("scipy bundles no OpenBLAS whose thread count can be set")
+        code = ("import hashlib; from conftest import er_graph; from walksparse import resistance as r; "
+                "get = r._openblas_threads()[0]; before = get(); "
+                "X = r._grounded_inverse(er_graph(200, 0.2, 1, weighted=True)); "
+                "print(hashlib.sha256(X.tobytes()).hexdigest(), before, get())")
+        path = os.pathsep.join([os.path.dirname(os.path.dirname(resistance.__file__)), os.path.dirname(__file__)])
+        out = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+            digest, before, after = run.stdout.split()
+            assert before == after  # the count is restored
+            out[threads] = digest
+        assert out["1"] == out["2"]
