@@ -116,10 +116,10 @@ def _openblas_threads():
 @contextmanager
 def _one_blas_thread():
     """Run the block with scipy's bundled OpenBLAS at one thread, then restore its count."""
-    if (threads := _openblas_threads()) is None:
+    if (pin := _openblas_threads()) is None:
         yield
         return
-    get, put = threads
+    get, put = pin
     count = get()
     put(1)
     try:
