@@ -55,13 +55,12 @@ class WeightedGraph:
         if len(lo) and (lo.min() < 0 or hi.max() >= n):
             raise ValidationError("vertex id out of range")
         self.n = int(n)
-        # strictly increasing (lo, hi) keys hold no duplicate and need no sort
+        # strictly increasing (lo, hi) pairs hold no duplicate and need no sort
         if not np.all((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))):
-            # lo * n + hi < n^2 fits an int64 up to n = 2^31
-            order = np.argsort(lo * self.n + hi, kind="stable") if self.n <= 2**31 else np.lexsort((hi, lo))
-            lo, hi, w = lo[order], hi[order], w[order]
-            if np.any((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])):
+            order, start = _runs(lo, hi)
+            if not start.all():
                 raise ValidationError("duplicate edges must be merged before construction")
+            lo, hi, w = lo[order], hi[order], w[order]
         self.edge_u, self.edge_v, self.edge_w = lo, hi, w
         self.self_loops_dropped = 0
 
@@ -284,14 +283,23 @@ _KEEP = np.stack([_KEEP_FROM[np.clip(np.arange(24) - 4 * j, 0, 4)] if j < 2
 _SCALE = 10.0 ** np.arange(21)  # 10^(16-k), exact doubles
 
 
+def _runs(lo, hi):
+    """Stable order of the pairs (lo, hi), by lo and then hi, and a mask of the
+    sorted pairs that start a run of equal ones. lexsort compares the ids
+    themselves, so no key built from them can overflow."""
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    start = np.ones(len(order), bool)
+    start[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    return order, start
+
+
 def _merge_duplicate_edges(u, v, w):
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    a, b, top = lo, hi, int(np.max(hi, initial=0)) + 1
-    if top > 2**31:  # lo * top + hi would overflow; ranks among the ids keep the order
-        ids, ranks = np.unique(np.concatenate([lo, hi]), return_inverse=True)
-        a, b, top = ranks[: len(lo)], ranks[len(lo):], len(ids)
-    _, first, inv = np.unique(a * top + b, return_index=True, return_inverse=True)
-    return lo[first], hi[first], np.bincount(inv, weights=w, minlength=len(first))
+    order, start = _runs(lo, hi)
+    first = order[start]
+    # a run keeps its input order, so bincount adds its weights in that order
+    return lo[first], hi[first], np.bincount(np.cumsum(start) - 1, weights=w[order], minlength=len(first))
 
 
 class _Body:
@@ -353,7 +361,7 @@ def load_graph(path, fmt=None):
         if fmt == "matrix-market":
             n, kind, body, u, v, w = _read_matrix_market(fh)
             if kind == "general":
-                return WeightedGraph._from_arrays(n, *_merge_general(body, n, u, v, w))
+                return WeightedGraph._from_arrays(n, *_merge_general(body, u, v, w))
         elif fmt == "edge-list":
             body = _Body(fh, 1, "#")
             if len(body.w) == 0:
@@ -395,20 +403,24 @@ def _read_matrix_market(fh):
     return n, kind, body, u, v, body.w
 
 
-def _merge_general(body, n, u, v, w):
+def _merge_general(body, u, v, w):
     """Upper-triangle edges of a 'general' file, duplicates summed. Each
     off-diagonal (u, v) needs a (v, u) whose sum agrees to 1e-12 relative."""
-    keys, inv = np.unique(u * n + v, return_inverse=True)
-    acc = np.bincount(inv, weights=w)
-    flip = keys % n * n + keys // n
-    pos = np.minimum(np.searchsorted(keys, flip), len(keys) - 1)
-    paired = keys[pos] == flip
+    order, start = _runs(u, v)
+    inv = np.empty(len(u), np.int64)
+    inv[order] = np.cumsum(start) - 1
+    a, b, acc = u[order[start]], v[order[start]], np.bincount(inv, weights=w)
+    # sorted stably among the flipped pairs (b, a), a pair is followed by its partner's flip
+    s, fresh = _runs(np.concatenate([a, b]), np.concatenate([b, a]))
+    pos = np.full(len(a), -1)
+    pos[s[:-1][~fresh[1:]]] = s[1:][~fresh[1:]] - len(a)
+    paired = pos >= 0
     asym = np.abs(acc - acc[pos]) > 1e-12 * np.maximum(np.abs(acc), 1.0)
     body.refuse(~paired[inv] | ((u < v) & asym[inv]), lambda k: f"entry ({u[k] + 1},{v[k] + 1}) "
                 + ("has an asymmetric value" if paired[inv[k]] else "has no symmetric partner"))
     body.refuse((u <= v) & (acc[inv] < 0), lambda k: f"negative weight {acc[inv[k]]}")
-    upper = keys // n <= keys % n
-    return keys[upper] // n, keys[upper] % n, acc[upper]
+    upper = a <= b
+    return a[upper], b[upper], acc[upper]
 
 
 def _ids(x, count):

@@ -12,12 +12,15 @@ works one component at a time.
 
 from __future__ import annotations
 
-import functools
+import ctypes
+import glob
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
@@ -93,33 +96,23 @@ def _default_method(n, delta):
     return "dense-exact" if n <= max(DENSE_THRESHOLD, _sketch_width(n, delta)) else "sketch"
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of scipy's bundled OpenBLAS, the library
-    lapack.dpotrf runs in, or None where no library in scipy.libs exports
-    scipy_openblas_get_num_threads and scipy_openblas_set_num_threads."""
-    import ctypes
-    import glob
-    import os
-
-    import scipy
-
-    for path in glob.glob(os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs", "libscipy_openblas*")):
-        lib = ctypes.CDLL(path)  # the library already loaded, not a second copy
-        get, put = (getattr(lib, f"scipy_openblas_{x}_num_threads", None) for x in ("get", "set"))
-        if get and put:
-            get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
-            return get, put
-    return None
+# get and set of the thread count of scipy's bundled OpenBLAS, the library
+# lapack.dpotrf runs in; None where no library in scipy.libs exports both
+_BLAS_THREADS = next((
+    (lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads)
+    for lib in map(ctypes.CDLL, glob.glob(os.path.join(os.path.dirname(scipy.__file__), os.pardir,
+                                                       "scipy.libs", "libscipy_openblas*")))
+    if all(hasattr(lib, f"scipy_openblas_{x}_num_threads") for x in ("get", "set"))), None)
 
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block with scipy's bundled OpenBLAS at one thread, then restore its count."""
-    if (pin := _openblas_threads()) is None:
+    """Run the block with scipy's bundled OpenBLAS at one thread, then restore
+    its count; where _BLAS_THREADS is None, leave the count alone."""
+    if _BLAS_THREADS is None:
         yield
         return
-    get, put = pin
+    get, put = _BLAS_THREADS
     count = get()
     put(1)
     try:
@@ -138,7 +131,7 @@ def _grounded_inverse(G: WeightedGraph):
     roundoff when edge weights span many orders of magnitude. The grounded
     Laplacian's upper triangle, all dpotrf reads, is set from the edges.
     dpotrf's and dpotri's bytes depend on the OpenBLAS thread count, so
-    they run at one thread; where _openblas_threads finds no library (a
+    they run at one thread; where _BLAS_THREADS found no library (a
     scipy not installed from a wheel), the count is left alone and the
     bytes vary with it.
     """

@@ -496,6 +496,18 @@ class TestFileLayer:
         p.write_text(MM_GEN + "2 2 3\n1 2 1.0\n1 2 1.0\n2 1 2.0\n")
         assert load_graph(p).edge_w.tolist() == [2.0]
 
+    def test_general_pairs_beyond_int64_keys(self, tmp_path):
+        # keyed u * n + v, (5, 2^40 - 1) and (5 + 2^24, 2^40 - 1) are equal modulo 2^64
+        n, far = 2**40, 2**24 + 6
+        p = tmp_path / "g.mtx"
+        p.write_text(MM_GEN + f"{n} {n} 4\n6 {n} 1.0\n{n} 6 1.0\n{far} {n} 2.0\n{n} {far} 2.0\n")
+        G = load_graph(p)
+        assert G.edge_u.tolist() == [5, far - 1] and G.edge_v.tolist() == [n - 1] * 2
+        assert G.edge_w.tolist() == [1.0, 2.0]
+        p.write_text(MM_GEN + f"{n} {n} 4\n6 {n} 1.0\n{n} 6 1.0\n{far} {n} 2.0\n{n} {far} 2.5\n")
+        with pytest.raises(GraphFormatError, match="line 5.*asymmetric"):
+            load_graph(p)
+
     @pytest.mark.parametrize("scan", [False, True], ids=["loadtxt", "scanner"])
     @pytest.mark.parametrize(
         "text, line",

@@ -282,10 +282,10 @@ class TestGroundedInverse:
 
     def test_bytes_independent_of_blas_threads(self):
         # dpotrf and dpotri round differently at 1 and 2 OpenBLAS threads unless pinned
-        if resistance._openblas_threads() is None:
+        if resistance._BLAS_THREADS is None:
             pytest.skip("scipy bundles no OpenBLAS whose thread count can be set")
         code = ("import hashlib; from conftest import er_graph; from walksparse import resistance as r; "
-                "get = r._openblas_threads()[0]; before = get(); "
+                "get = r._BLAS_THREADS[0]; before = get(); "
                 "X = r._grounded_inverse(er_graph(200, 0.2, 1, weighted=True)); "
                 "print(hashlib.sha256(X.tobytes()).hexdigest(), before, get())")
         path = os.pathsep.join([os.path.dirname(os.path.dirname(resistance.__file__)), os.path.dirname(__file__)])
