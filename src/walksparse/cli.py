@@ -38,10 +38,6 @@ EXIT_VALIDATION = 3
 EXIT_REFUSED = 4
 EXIT_VERIFY = 5
 
-ALLOW_DISCONNECTED_HELP = ("accept a disconnected graph and sparsify each component's "
-                           "polynomial; no edge joins two components")
-
-
 def _alpha_arg(text):
     # bad coefficients are a usage error (exit 2), not a runtime failure
     try:
@@ -74,12 +70,10 @@ def build_parser():
     _common(sp)
     sp.add_argument("--alpha", required=True, type=_alpha_arg,
                     help="comma-separated coefficients, e.g. 0.5,0.5")
-    sp.add_argument("--allow-disconnected", action="store_true", help=ALLOW_DISCONNECTED_HELP)
 
     sm = sub.add_parser("sparsify-monomial", help="sparsify the r-step walk Laplacian")
     _common(sm)
     sm.add_argument("--degree", "-r", type=int, required=True)
-    sm.add_argument("--allow-disconnected", action="store_true", help=ALLOW_DISCONNECTED_HELP)
 
     hd = sub.add_parser("high-degree", help="even-degree monomial pipeline")
     _common(hd)
@@ -124,7 +118,6 @@ def _cfg(args):
         epsilon=args.eps,
         oversample=args.cs,
         second_stage=not args.no_second_stage,
-        allow_disconnected=getattr(args, "allow_disconnected", False),
     )
 
 

@@ -2,9 +2,9 @@
 
 Graphs are undirected with strictly positive edge weights, stored as a
 canonical edge list (u < v, sorted by (u, v)); input already in that order
-is not re-sorted. The CSR adjacency and the degree vector are built on
-first read. Vertex ids are dense 0-based integers; loaders remap external
-ids.
+is not re-sorted. The CSR adjacency, the degree vector and the connected
+components are built on first read. Vertex ids are dense 0-based
+integers; loaders remap external ids.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ class WeightedGraph:
     list edge_u < edge_v sorted by (edge_u, edge_v) with no duplicate.
 
     Edges that arrive in that order are kept as they are; others are sorted
-    once. adjacency (the symmetric CSR matrix A, rows sorted) and degree
-    (A 1) are built on first read, so a graph that is only passed on or
-    written out never builds them. Immutable after construction; safe to
+    once. adjacency (the symmetric CSR matrix A, rows sorted), degree (A 1)
+    and components are built on first read, so a graph that is only passed
+    on or written out never builds them. Immutable after construction; safe to
     share across threads (a race builds a cache twice, with equal bytes).
     """
 
@@ -76,6 +76,11 @@ class WeightedGraph:
     def degree(self):
         # A 1, bit for bit the row sums the walk sampler and exact chain use
         return self.adjacency @ np.ones(self.n)
+
+    @cached_property
+    def components(self):
+        """(count, labels) of the connected components; labels[i] is vertex i's."""
+        return connected_components(self.adjacency, directed=False)
 
     @property
     def m(self):
@@ -123,16 +128,13 @@ class WeightedGraph:
         return np.diag(self.degree) - self.adjacency.toarray()
 
     def is_connected(self):
-        if self.n <= 1:
-            return True
-        ncomp, _ = connected_components(self.adjacency, directed=False)
-        return ncomp == 1
+        return self.n <= 1 or self.components[0] == 1
 
     def is_bipartite(self):
         """True iff the bipartite double cover has twice as many components."""
         A = self.adjacency
         cover = connected_components(sp.bmat([[None, A], [A, None]]), directed=False)[0]
-        return cover == 2 * connected_components(A, directed=False)[0]
+        return cover == 2 * self.components[0]
 
     def check_invariants(self):
         deg = np.zeros(self.n)
@@ -213,7 +215,7 @@ class SddmMatrix:
         if np.any(slack < -tol * scale):
             raise ValidationError("matrix is not diagonally dominant")
         slack = np.maximum(slack, 0.0)
-        ncomp, comp = connected_components(offdiag.adjacency, directed=False)
+        ncomp, comp = offdiag.components
         dry = np.bincount(comp, minlength=ncomp) > 1
         dry[comp[slack > tol * scale]] = False
         if np.any(dry):

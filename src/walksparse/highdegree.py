@@ -38,7 +38,6 @@ PLUS = "PLUS"
 class DegreeSchedule:
     """Operation program reaching `target` from degree 2."""
 
-    requested: int
     target: int
     ops: list
     direct: bool = False
@@ -87,14 +86,12 @@ def schedule(d, eps=None) -> DegreeSchedule:
     if d < 2 or d % 2 != 0:
         raise ValidationError("degree must be an even integer >= 2")
     if eps is not None and d <= 4.0 / eps:
-        return DegreeSchedule(d, d, [], direct=True, eps_effective=eps)
+        return DegreeSchedule(d, [], direct=True, eps_effective=eps)
     if d % 4 == 2 and d > 2:
         if eps is None:
             raise ValidationError(f"degree {d} = 4r+2 needs an eps budget for substitution")
-        return DegreeSchedule(
-            d, d - 2, shortest_program(d - 2), substituted=True, eps_effective=eps / 2
-        )
-    return DegreeSchedule(d, d, shortest_program(d), eps_effective=eps)
+        return DegreeSchedule(d - 2, shortest_program(d - 2), substituted=True, eps_effective=eps / 2)
+    return DegreeSchedule(d, shortest_program(d), eps_effective=eps)
 
 
 @dataclass

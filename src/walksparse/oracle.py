@@ -143,10 +143,6 @@ class EnumeratedPath:
     def closed(self):
         return self.vertices[0] == self.vertices[-1]
 
-    @property
-    def palindromic(self):
-        return self.vertices == self.vertices[::-1]
-
 
 def enumerate_paths(G: WeightedGraph, r):
     """All directed length-r walks with exact w(p) and Z(p).

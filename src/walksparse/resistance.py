@@ -1,13 +1,16 @@
-"""Effective resistances of a connected graph (ErOracle), read by stage
-two's resparsify pass and by the query oracle of a sparsified L_alpha(G).
+"""Effective resistances (ErOracle), read by stage two's resparsify pass and
+by the query oracle of a sparsified L_alpha(G).
 
+Every route grounds one vertex per connected component, the heaviest, so a
+disconnected graph is handled whole: the grounded Laplacian is block
+diagonal and positive definite, resistances within a component are those
+of the component alone, and across components they are infinite.
 ErOracle makes the one choice of method: resistances are exact, from one
 Cholesky factorization of the grounded Laplacian, unless n exceeds both
 DENSE_THRESHOLD and the width k of the Johnson-Lindenstrauss sketch that
 would replace it (Spielman & Srivastava, 2008). The sketch projects the
 incidence operator and solves against the Laplacian by Jacobi-preconditioned
-conjugate gradients. resparsify, the only split of a graph into components,
-works one component at a time.
+conjugate gradients. resparsify samples every component in one pass.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import scipy
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, InputRefusedError, ValidationError
 from .graph import DENSE_THRESHOLD, PolyCoeffs, WeightedGraph
@@ -59,21 +61,33 @@ def _incidence_rows(G: WeightedGraph):
     return sp.csr_matrix((vals, (rows, cols)), shape=(m, G.n))
 
 
+def _grounds(G: WeightedGraph):
+    """Mask of the heaviest vertex of each component, the first on a tie;
+    for a connected G that is argmax(degree)."""
+    label = G.components[1]
+    order = np.lexsort((-G.degree, label))  # stable: ties stay in vertex order
+    mask = np.zeros(G.n, bool)
+    mask[order[np.unique(label[order], return_index=True)[1]]] = True
+    return mask
+
+
 def _grounded_solve(G: WeightedGraph, rhs):
-    """Solve L x = rhs (rhs orthogonal to 1) by grounding vertex 0."""
-    L = G.laplacian().tocsr()
-    red = L[1:, 1:]
+    """Solve L x = rhs (each row of rhs sums to 0 on every component) with
+    the _grounds vertices held at 0."""
+    keep = ~_grounds(G)
+    red = G.laplacian().tocsr()[keep][:, keep]
     diag = red.diagonal()
     precond = spla.LinearOperator(red.shape, matvec=lambda y: y / diag)
     out = np.zeros((rhs.shape[0], G.n))
-    for i, b in enumerate(rhs):
-        x, info = spla.cg(red, b[1:], rtol=CG_RTOL, atol=0.0, maxiter=20 * G.n, M=precond)
+    for i, row in enumerate(rhs):
+        b = row[keep]
+        x, info = spla.cg(red, b, rtol=CG_RTOL, atol=0.0, maxiter=20 * G.n, M=precond)
         if info != 0:
-            res = float(np.linalg.norm(red @ x - b[1:]) / max(np.linalg.norm(b[1:]), 1e-300))
+            res = float(np.linalg.norm(red @ x - b) / max(np.linalg.norm(b), 1e-300))
             raise ConvergenceError(
                 f"conjugate gradient failed on sketch column {i} (info={info})", residual=res
             )
-        out[i, 1:] = x
+        out[i, keep] = x
     return out
 
 
@@ -122,38 +136,43 @@ def _one_blas_thread():
 
 
 def _grounded_inverse(G: WeightedGraph):
-    """n x n X holding L^-1 grounded at g = argmax(degree), zero in row and column g.
+    """(X, at): the inverse of L grounded at the _grounds vertices, and the row
+    of X of each vertex.
 
-    Only the upper triangle is filled, so read X[a, b] with a <= b; then
-    R(u, v) = X[u, u] + X[v, v] - 2 X[min(u, v), max(u, v)]. G must be
-    connected, which makes the grounded Laplacian positive definite.
-    Grounding at the heaviest vertex keeps the Cholesky pivots away from
-    roundoff when edge weights span many orders of magnitude. The grounded
-    Laplacian's upper triangle, all dpotrf reads, is set from the edges.
+    The k vertices left keep their order in rows 0..k-1; every grounded
+    vertex reads row k, which is zero, as is column k. Only the upper
+    triangle is filled, so with a = at[u] <= b = at[v] (true for u <= v)
+    R(u, v) = X[a, a] + X[b, b] - 2 X[a, b] within a component. One ground
+    per component makes the grounded Laplacian positive definite; the
+    heaviest keeps the Cholesky pivots away from roundoff when edge weights
+    span many orders of magnitude. Its upper triangle, all dpotrf reads, is
+    set from the edges; a graph with no edges has k = 0 and calls no LAPACK.
     dpotrf's and dpotri's bytes depend on the OpenBLAS thread count, so
     they run at one thread; where _BLAS_THREADS found no library (a
     scipy not installed from a wheel), the count is left alone and the
     bytes vary with it.
     """
-    n, g = G.n, int(np.argmax(G.degree))
-    away = (G.edge_u != g) & (G.edge_v != g)
-    u, v = (x[away] - (x[away] > g) for x in (G.edge_u, G.edge_v))  # ids without g; u < v
-    red = np.zeros((n - 1, n - 1), order="F")
-    red[u, v] = -G.edge_w[away]
-    np.fill_diagonal(red, np.delete(G.degree, g))
-    with _one_blas_thread():
-        chol, info = lapack.dpotrf(red, lower=0, clean=1, overwrite_a=1)
-        if info == 0:
-            chol, info = lapack.dpotri(chol, lower=0, overwrite_c=1)
-    if info != 0:
-        raise InputRefusedError(
-            f"grounded Laplacian is not numerically positive definite (pivot {info}); "
-            "edge weights span too many orders of magnitude for exact resistances"
-        )
-    X = np.zeros((n, n))
-    X[:g, :g], X[:g, g + 1:] = chol[:g, :g], chol[:g, g:]
-    X[g + 1:, :g], X[g + 1:, g + 1:] = chol[g:, :g], chol[g:, g:]
-    return X
+    keep = ~_grounds(G)
+    k = int(keep.sum())
+    at = np.cumsum(keep) - 1
+    at[~keep] = k
+    away = keep[G.edge_u] & keep[G.edge_v]
+    red = np.zeros((k, k), order="F")
+    red[at[G.edge_u[away]], at[G.edge_v[away]]] = -G.edge_w[away]
+    np.fill_diagonal(red, G.degree[keep])
+    X = np.zeros((k + 1, k + 1))
+    if k:
+        with _one_blas_thread():
+            chol, info = lapack.dpotrf(red, lower=0, clean=1, overwrite_a=1)
+            if info == 0:
+                chol, info = lapack.dpotri(chol, lower=0, overwrite_c=1)
+        if info != 0:
+            raise InputRefusedError(
+                f"grounded Laplacian is not numerically positive definite (pivot {info}); "
+                "edge weights span too many orders of magnitude for exact resistances"
+            )
+        X[:k, :k] = chol
+    return X, at
 
 
 def _sketch_potentials(G: WeightedGraph, delta, rng):
@@ -174,33 +193,40 @@ def _sketch_potentials(G: WeightedGraph, delta, rng):
 
 
 class ErOracle:
-    """Effective resistances of a connected graph H, from its grounded inverse
-    or, if _default_method picks the sketch, within (1 + delta)^2 w.h.p."""
+    """Effective resistances of a graph H, from its grounded inverse or, if
+    _default_method picks the sketch, within (1 + delta)^2 w.h.p.; infinite
+    between components."""
 
     def __init__(self, H: WeightedGraph, delta, rng=None):
         _check_delta(delta)
-        if not H.is_connected():
-            raise InputRefusedError("effective-resistance estimation needs a connected graph")
         self.graph = H
         self.method = _default_method(H.n, delta)
         if self.method == "dense-exact":
-            self._state = _grounded_inverse(H)  # upper triangle filled
+            self._state, at = _grounded_inverse(H)  # upper triangle filled
         else:
             self._state = _sketch_potentials(H, delta, rng if rng is not None else RngStream(0, 0))
+            at = np.arange(H.n)
+        # a query reads Python lists: numpy scalar lookups cost more than its arithmetic
+        self._at, self._rows, self._label = at, at.tolist(), H.components[1].tolist()
 
-    def resistances(self, u, v):
-        """R(u, v) for vertex indices or index arrays with u <= v."""
+    def _resistances(self, a, b):
         if self.method == "dense-exact":
             X = self._state
-            return X[u, u] + X[v, v] - 2 * X[u, v]
-        diff = self._state[:, u] - self._state[:, v]
+            return X[a, a] + X[b, b] - 2 * X[a, b]
+        diff = self._state[:, a] - self._state[:, b]
         return np.sum(diff * diff, axis=0)
+
+    def resistances(self, u, v):
+        """R(u, v) for index arrays u <= v whose pairs share a component."""
+        return self._resistances(self._at[u], self._at[v])
 
     def query(self, u, v):
         n = self.graph.n
         if not (0 <= u < n and 0 <= v < n):
             raise ValidationError(f"vertex pair ({u}, {v}) out of range")
-        return float(self.resistances(min(u, v), max(u, v)))
+        if self._label[u] != self._label[v]:
+            return math.inf
+        return float(self._resistances(self._rows[min(u, v)], self._rows[max(u, v)]))
 
 
 def estimate_er(H: WeightedGraph, delta=0.2, rng=None) -> ErEstimates:
@@ -213,43 +239,16 @@ def estimate_er(H: WeightedGraph, delta=0.2, rng=None) -> ErEstimates:
     return ErEstimates(Z=Z, method=oracle.method)
 
 
-def _split_components(G: WeightedGraph):
-    ncomp, labels = connected_components(G.adjacency, directed=False)
-    for c in range(ncomp):
-        verts = np.nonzero(labels == c)[0]
-        if len(verts) < 2:
-            continue
-        remap = -np.ones(G.n, dtype=np.int64)
-        remap[verts] = np.arange(len(verts))
-        mask = remap[G.edge_u] >= 0
-        yield verts, WeightedGraph(
-            len(verts), remap[G.edge_u[mask]], remap[G.edge_v[mask]], G.edge_w[mask]
-        )
-
-
-def _join_components(n, parts):
-    """Union of component graphs, each given with its vertex ids in the whole."""
-    u = np.concatenate([verts[H.edge_u] for verts, H in parts])
-    v = np.concatenate([verts[H.edge_v] for verts, H in parts])
-    w = np.concatenate([H.edge_w for _, H in parts])
-    return WeightedGraph(n, u, v, w)
-
-
 def resparsify(H: WeightedGraph, eps, cfg: SparsifyConfig, rng) -> WeightedGraph:
     """Effective-resistance sparsification of an explicit graph at error eps.
 
     Returns H unchanged when it already meets the edge budget. A disconnected
-    H (an even monomial of a bipartite graph has two components) is
-    resparsified one component at a time.
+    H (an even monomial of a bipartite graph has two components) is sampled
+    whole: its resistances are those of its components.
     """
     budget = stage_two_edge_budget(H.n, eps, cfg)
     if H.m <= budget:
         return H
-    if not H.is_connected():
-        gen = _as_generator(rng)
-        return _join_components(
-            H.n, [(verts, resparsify(sub, eps, cfg, gen)) for verts, sub in _split_components(H)]
-        )
     est = estimate_er(H, rng=rng)
     tau = H.edge_w * est.Z
     tau_total = float(tau.sum())
@@ -278,7 +277,7 @@ def er_oracle_build(
     components are infinite.
     """
     _check_delta(delta)  # before the sparsifier is built, not after
-    ncomp = connected_components(G.adjacency, directed=False)[0]
+    ncomp = G.components[0]
     if ncomp > 1:
         raise InputRefusedError(
             f"the input graph G is disconnected ({ncomp} components), so resistances "
@@ -286,7 +285,7 @@ def er_oracle_build(
         )
     cfg = SparsifyConfig(epsilon=eps) if cfg is None else replace(cfg, epsilon=eps)
     H = sparsify_poly(G, alpha, cfg, rng)
-    ncomp = connected_components(H.adjacency, directed=False)[0]
+    ncomp = H.components[0]
     if ncomp > 1:
         isolated = int(np.count_nonzero(H.degree == 0))
         stage = "stage-2" if cfg.second_stage else "stage-1"

@@ -14,8 +14,9 @@ picked proportionally to alpha_j tau(j), and adds tau / (M Z(p)) on each
 open walk's endpoint edge, tau being the sum of the alpha_j tau(j).
 two_stage, the one driver of every sparsifier, follows stage one with stage
 two, which re-sparsifies the explicit result down to the n log n budget
-using effective resistances. A disconnected graph runs whole: walks never
-leave a component; only resparsify splits it.
+using effective resistances. A disconnected graph runs whole in both
+stages: walks never leave a component, and its polynomial is the direct sum
+of its components'.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InputRefusedError, ValidationError
+from .errors import ValidationError
 from .graph import PolyCoeffs, WeightedGraph
 from .sampling import PathBatch, SamplerIndex, graph_sampling, sample_paths, substream
 
@@ -41,8 +42,6 @@ class SparsifyConfig:
     epsilon is the total error budget: with second_stage it is split evenly
     between stage one and stage two, otherwise stage one spends all of it.
     oversample is the leading constant c_s in every sample-count formula.
-    allow_disconnected accepts a disconnected graph (its polynomial is the
-    union of its components'); without it one is refused.
     sparsify_high_degree, inv_sqrt_chain and er_oracle_build spend their own
     eps argument in place of epsilon and read only the other fields here.
     """
@@ -50,7 +49,6 @@ class SparsifyConfig:
     epsilon: float
     oversample: float = 4.0
     second_stage: bool = True
-    allow_disconnected: bool = False
 
     def __post_init__(self):
         if not (0 < self.epsilon <= 1):
@@ -107,7 +105,9 @@ def exact_walk_graph(layers, D, M, alpha):
         if f >= n * n and not dense:
             dense, X, P = True, X.toarray(), P.toarray()
         if dense:
-            X = (X / D) @ L  # scipy loops over L; BLAS bytes would vary with threads
+            # scipy loops over L; BLAS bytes would vary with threads. An
+            # isolated vertex has D = 0 and a zero column in X, kept zero
+            X = np.divide(X, D, out=np.zeros_like(X), where=D > 0) @ L
         else:
             X = sp.csr_matrix((X.data / D[X.indices], X.indices, X.indptr), shape=X.shape) @ L
         if a:
@@ -168,11 +168,6 @@ def two_stage(layers, coeffs, alpha, D, cfg: SparsifyConfig, rng, stream) -> Wei
 
 def walk_graph(G: WeightedGraph, D, alpha: PolyCoeffs, cfg: SparsifyConfig, rng) -> WeightedGraph:
     """Sparsifier of the off-diagonal sum_r alpha_r A (D^-1 A)^{r-1}, D >= A 1."""
-    if not cfg.allow_disconnected and not G.is_connected():
-        raise InputRefusedError(
-            "graph is disconnected (pass allow_disconnected to sparsify each component's "
-            "polynomial, with no edges between components)"
-        )
     return two_stage([G.adjacency] * alpha.d, np.full(alpha.d, 2.0), alpha.alpha, D, cfg, rng, 1)
 
 

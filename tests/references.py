@@ -17,8 +17,9 @@ def exact_resistances(G: WeightedGraph):
     """All-pairs resistances of a connected G from ErOracle's grounded inverse,
     out of the sketched fixture's reach. For a dense_poly target L, pass
     WeightedGraph.from_dense(-L)."""
-    X = _grounded_inverse(G)
+    X, at = _grounded_inverse(G)
     X = np.triu(X) + np.triu(X, 1).T
+    X = X[np.ix_(at, at)]
     d = np.diag(X)
     return d[:, None] + d[None, :] - 2 * X
 

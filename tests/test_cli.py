@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from walksparse import (
     save_sddm,
 )
 from walksparse.cli import main
+from walksparse.newton import AffineFactor, FactorChain
 
 from conftest import er_graph, random_sddm
 
@@ -100,13 +103,42 @@ class TestExitCodes:
         assert code == 3
         assert "'a b'" in capsys.readouterr().err
 
-    def test_refused_disconnected(self, tmp_path):
+    def test_refused_disconnected(self, tmp_path, capsys):
+        # high-degree is the one sparsifier that still needs a connected graph
         G = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
         p = tmp_path / "disc.mtx"
         save_graph(G, p)
-        code = main(["sparsify-poly", "-i", str(p), "--alpha", "1",
-                     "-o", str(tmp_path / "x.mtx")])
+        code = main(["high-degree", "-i", str(p), "-d", "4", "-o", str(tmp_path / "x.mtx")])
         assert code == 4
+        assert "needs a connected graph" in capsys.readouterr().err
+
+    def test_disconnected_runs_whole(self, tmp_path, capsys):
+        # two components and an isolated vertex, with no option
+        C = er_graph(20, 0.3, 5)
+        G = WeightedGraph(41, np.concatenate([C.edge_u, C.edge_u + 20]),
+                          np.concatenate([C.edge_v, C.edge_v + 20]), np.tile(C.edge_w, 2))
+        p, out = tmp_path / "disc.mtx", str(tmp_path / "x.mtx")
+        save_graph(G, p)
+        assert main(["sparsify-poly", "-i", str(p), "--alpha", "0.5,0.5", "-o", out]) == 0
+        assert main(["verify", "-a", out, "-b", str(p), "--alpha", "0.5,0.5", "--eps", "0.5"]) == 0
+        assert "pass=true" in capsys.readouterr().out
+
+    def test_inv_sqrt_two_blocks(self, tmp_path):
+        # an SDDM matrix SddmMatrix accepts, whose off-diagonal has two components
+        A, B = random_sddm(12, 0.4, 3), random_sddm(9, 0.5, 4)
+        edges = [(u, v, w) for u, v, w in zip(A.offdiag.edge_u, A.offdiag.edge_v, A.offdiag.edge_w)]
+        edges += [(A.n + u, A.n + v, w) for u, v, w in zip(B.offdiag.edge_u, B.offdiag.edge_v, B.offdiag.edge_w)]
+        M = SddmMatrix(np.concatenate([A.diag, B.diag]), WeightedGraph.from_edges(A.n + B.n, edges))
+        p, out = tmp_path / "blocks.mtx", tmp_path / "chain"
+        save_sddm(M, p)
+        assert main(["inv-sqrt", "-i", str(p), "--eps", "0.4", "--seed", "1", "-o", str(out)]) == 0
+        fields = dict(line.split("=", 1) for line in open(out / "chain.manifest").read().splitlines())
+        chain = FactorChain(
+            factors=[AffineFactor(np.loadtxt(out / f"factor_{k}.diag"), load_graph(out / f"factor_{k}.mtx"))
+                     for k in range(int(fields["chain_length"]))],
+            terminal_diag=np.loadtxt(out / "terminal.diag"))
+        lo, hi = chain.bracket(M)
+        assert math.exp(-0.4) <= lo and hi <= math.exp(0.4)
 
     def test_resistance_refused_disconnected(self, tmp_path, capsys):
         G = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])

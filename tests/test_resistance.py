@@ -11,6 +11,7 @@ from scipy.linalg import lapack
 
 from walksparse import (
     ConvergenceError,
+    ErOracle,
     InputRefusedError,
     PolyCoeffs,
     RngStream,
@@ -93,10 +94,17 @@ class TestEstimateEr:
         blocked = _sketch_potentials(G, delta, RngStream(4))
         np.testing.assert_array_equal(blocked, one_shot)
 
-    def test_disconnected_refused(self):
-        G = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        with pytest.raises(InputRefusedError):
-            estimate_er(G)
+    def test_components_match_their_own(self):
+        # two interleaved components and an isolated vertex, estimated whole
+        A, B = er_graph(30, 0.2, 20, weighted=True), er_graph(25, 0.25, 21, weighted=True)
+        perm = np.random.default_rng(3).permutation(A.n + B.n + 1)
+        parts = [(A, perm[: A.n]), (B, perm[A.n : -1])]
+        u, v = (np.concatenate([ids[getattr(C, e)] for C, ids in parts]) for e in ("edge_u", "edge_v"))
+        G = WeightedGraph(len(perm), np.minimum(u, v), np.maximum(u, v), np.concatenate([A.edge_w, B.edge_w]))
+        Z = dict(zip(zip(G.edge_u, G.edge_v), estimate_er(G).Z))
+        for C, ids in parts:
+            whole = [Z[min(ids[a], ids[b]), max(ids[a], ids[b])] for a, b in zip(C.edge_u, C.edge_v)]
+            np.testing.assert_allclose(whole, estimate_er(C).Z, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("delta", [0.0, -0.2, math.nan, math.inf])
     def test_delta_positive_and_finite(self, triangle, delta):
@@ -221,9 +229,7 @@ class TestErOracle:
         with pytest.raises(InputRefusedError, match=f"disconnected .*{isolated} isolated vertices"):
             er_oracle_build(G, alpha, 1.0, RngStream(0), delta=0.8, cfg=cfg)
 
-    @pytest.mark.parametrize(
-        "cfg", [None, SparsifyConfig(epsilon=0.5, allow_disconnected=True)], ids=["default", "allow_disconnected"]
-    )
+    @pytest.mark.parametrize("cfg", [None, SparsifyConfig(epsilon=0.5, oversample=0.1)], ids=["default", "cfg"])
     def test_disconnected_input_refused(self, cfg, monkeypatch):
         # refused before any sparsifier is built, naming the input graph, with
         # neither an option the resistance CLI lacks nor the oversample constant
@@ -254,6 +260,24 @@ class TestErOracle:
         oracle = er_oracle_build(triangle, PolyCoeffs.parse("1"), 0.3, RngStream(0))
         assert oracle.query(1, 1) == 0.0
 
+    @pytest.mark.parametrize("route", ["dense-exact", "sketch"])
+    def test_across_components_infinite(self, route, request):
+        if route == "sketch":
+            request.getfixturevalue("sketched")
+        G = WeightedGraph.from_edges(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0)])
+        oracle = ErOracle(G, 0.2, RngStream(0))
+        assert oracle.method == route
+        assert oracle.query(0, 3) == oracle.query(4, 2) == oracle.query(5, 0) == math.inf
+        assert oracle.query(5, 5) == 0.0
+        if route == "dense-exact":
+            assert [oracle.query(0, 2), oracle.query(2, 0), oracle.query(3, 4)] == [1.5, 1.5, 1.0]
+
+    def test_one_vertex(self, capfd):
+        # no edge, so no LAPACK call on a 0 x 0 matrix
+        oracle = ErOracle(WeightedGraph.from_edges(1, []), 0.2)
+        assert oracle.query(0, 0) == 0.0
+        assert capfd.readouterr() == ("", "")
+
     def test_out_of_range(self, triangle):
         oracle = er_oracle_build(triangle, PolyCoeffs.parse("1"), 0.3, RngStream(0))
         with pytest.raises(ValidationError):
@@ -261,15 +285,16 @@ class TestErOracle:
 
 
 def _grounded_inverse_reference(G):
-    """The grounded inverse from the sparse Laplacian's slice, scattered back by np.ix_."""
+    """The grounded inverse of a connected G from the sparse Laplacian's slice,
+    with a zero last row and column for its ground, and the row of each vertex."""
     keep = np.arange(G.n) != np.argmax(G.degree)
     red = G.laplacian().tocsr()[keep][:, keep].toarray(order="F")
     with resistance._one_blas_thread():
         chol, info = lapack.dpotrf(red, lower=0, clean=1, overwrite_a=1)
         chol, info = lapack.dpotri(chol, lower=0, overwrite_c=1)
     X = np.zeros((G.n, G.n))
-    X[np.ix_(keep, keep)] = chol
-    return X
+    X[:-1, :-1] = chol
+    return X, np.where(keep, np.cumsum(keep) - 1, G.n - 1)
 
 
 class TestGroundedInverse:
@@ -278,7 +303,9 @@ class TestGroundedInverse:
                                    path_graph(10 ** np.linspace(-6, 6, 29)), WeightedGraph(2, [0], [1], [0.5])],
                              ids=["er", "ground-first", "ground-last", "wide-path", "n2"])
     def test_bytes_match_sparse_laplacian_slice(self, G):
-        assert resistance._grounded_inverse(G).tobytes() == _grounded_inverse_reference(G).tobytes()
+        (X, at), (ref, ref_at) = resistance._grounded_inverse(G), _grounded_inverse_reference(G)
+        assert X.tobytes() == ref.tobytes()
+        np.testing.assert_array_equal(at, ref_at)
 
     def test_bytes_independent_of_blas_threads(self):
         # dpotrf and dpotri round differently at 1 and 2 OpenBLAS threads unless pinned
@@ -286,7 +313,7 @@ class TestGroundedInverse:
             pytest.skip("scipy bundles no OpenBLAS whose thread count can be set")
         code = ("import hashlib; from conftest import er_graph; from walksparse import resistance as r; "
                 "get = r._BLAS_THREADS[0]; before = get(); "
-                "X = r._grounded_inverse(er_graph(200, 0.2, 1, weighted=True)); "
+                "X = r._grounded_inverse(er_graph(200, 0.2, 1, weighted=True))[0]; "
                 "print(hashlib.sha256(X.tobytes()).hexdigest(), before, get())")
         path = os.pathsep.join([os.path.dirname(os.path.dirname(resistance.__file__)), os.path.dirname(__file__)])
         out = {}

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from walksparse import (
-    InputRefusedError,
     PolyCoeffs,
     RngStream,
     SamplerIndex,
@@ -90,11 +89,14 @@ class TestSparsifySddm:
         assert r1.graph == r2.graph
         np.testing.assert_array_equal(r1.extra, r2.extra)
 
-    def test_disconnected_refused(self):
-        G = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    def test_disconnected_runs_whole(self):
+        # a matrix SddmMatrix accepts is sparsified, whatever its components
+        G = WeightedGraph.from_edges(5, [(0, 1, 1.0), (2, 3, 1.0)])
         M = SddmMatrix(G.degree + 1.0, G)
-        with pytest.raises(InputRefusedError):
-            sparsify_sddm(M, PolyCoeffs.parse("1"), SparsifyConfig(epsilon=0.5), RngStream(0))
+        alpha = PolyCoeffs.parse("0.5,0.5")
+        res = sparsify_sddm(M, alpha, SparsifyConfig(epsilon=0.5), RngStream(0))
+        rep = similarity_check(res.dense(), dense_poly(M, alpha), 0.5)
+        assert rep.passed, rep.as_kv()
 
     @pytest.mark.parametrize("route", ["exact", "sampled"])
     def test_disconnected_componentwise(self, route, request):
@@ -114,7 +116,7 @@ class TestSparsifySddm:
         M = SddmMatrix(diag, WeightedGraph.from_edges(len(diag), edges))
         alpha = PolyCoeffs.parse("0.5,0.5")
         eps = 0.5
-        res = sparsify_sddm(M, alpha, SparsifyConfig(epsilon=eps, allow_disconnected=True), RngStream(6))
+        res = sparsify_sddm(M, alpha, SparsifyConfig(epsilon=eps), RngStream(6))
         dense = dense_poly(M, alpha)
         vals, mismatch = generalized_eigenvalues(res.dense(), dense)
         assert not mismatch

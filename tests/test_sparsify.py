@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walksparse import (
-    InputRefusedError,
     PolyCoeffs,
     RngStream,
     SparsifyConfig,
@@ -128,10 +127,19 @@ class TestSparsifyPoly:
         H2 = sparsify_poly(G, alpha, cfg, RngStream(9))
         assert H1 == H2
 
-    def test_disconnected_refused(self):
-        G = WeightedGraph.from_edges(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)])
-        with pytest.raises(InputRefusedError):
-            sparsify_poly(G, PolyCoeffs.parse("1"), SparsifyConfig(epsilon=0.5), RngStream(0))
+    def test_disconnected_runs_whole(self):
+        # stage one is exact and dense; stage two samples both components in one pass
+        C = er_graph(40, 0.5, 7)
+        G = WeightedGraph(80, np.concatenate([C.edge_u, C.edge_u + 40]),
+                          np.concatenate([C.edge_v, C.edge_v + 40]), np.tile(C.edge_w, 2))
+        alpha = PolyCoeffs.parse("0.5,0.5")
+        cfg = SparsifyConfig(epsilon=1.0, oversample=0.5)
+        one = sparsify_poly(G, alpha, SparsifyConfig(epsilon=0.5, oversample=0.5, second_stage=False), RngStream(8))
+        H = sparsify_poly(G, alpha, cfg, RngStream(8))
+        assert one.m > stage_two_edge_budget(G.n, cfg.eps_stage_two, cfg) >= H.m
+        assert not np.any((H.edge_u < 40) & (H.edge_v >= 40))
+        rep = similarity_check(H.laplacian_dense(), dense_poly(G, alpha), cfg.epsilon)
+        assert rep.passed, rep.as_kv()
 
     @pytest.mark.usefixtures("sampled")
     def test_disconnected_componentwise(self):
@@ -139,15 +147,15 @@ class TestSparsifyPoly:
         edges = [(u, v, w) for u, v, w in zip(left.edge_u, left.edge_v, left.edge_w)]
         edges += [(20 + u, 20 + v, w) for u, v, w in zip(left.edge_u, left.edge_v, left.edge_w)]
         G = WeightedGraph.from_edges(40, edges)
-        cfg = SparsifyConfig(epsilon=0.5, allow_disconnected=True)
+        cfg = SparsifyConfig(epsilon=0.5)
         alpha = PolyCoeffs.parse("0.5,0.5")
         H = sparsify_poly(G, alpha, cfg, RngStream(6))
         rep = similarity_check(H.laplacian_dense(), dense_poly(G, alpha), 0.5)
         assert rep.passed, rep.as_kv()
 
     def test_bipartite_even_monomial_two_stages(self, caplog):
-        # the 2-step walks of a bipartite graph split into two components, so
-        # stage 2 resparsifies each one; stage 1 is the exact product here
+        # the 2-step walks of a bipartite graph split into two components,
+        # which stage 2 resparsifies in one pass; stage 1 is the exact product here
         gen = np.random.default_rng(13)
         u = gen.integers(0, 100, 1500)
         v = 100 + gen.integers(0, 100, 1500)
@@ -353,7 +361,7 @@ class TestWholeGraphStageOne:
     @given(disconnected_inputs())
     def test_exact_matches_dense_and_replays(self, case):
         G, alpha = case
-        cfg = SparsifyConfig(epsilon=0.5, second_stage=False, allow_disconnected=True)
+        cfg = SparsifyConfig(epsilon=0.5, second_stage=False)
         L = dense_poly(G, alpha)
         H = sparsify_poly(G, alpha, cfg, RngStream(3))
         np.testing.assert_allclose(H.adjacency_dense(), np.diag(np.diag(L)) - L, rtol=1e-9, atol=0)
@@ -369,7 +377,20 @@ class TestWholeGraphStageOne:
         C = er_graph(20, 0.3, 5)
         G = WeightedGraph(23, C.edge_u + 1, C.edge_v + 1, C.edge_w)
         alpha = PolyCoeffs.parse("0.5,0.5")
-        cfg = SparsifyConfig(epsilon=0.5, allow_disconnected=True)
+        cfg = SparsifyConfig(epsilon=0.5)
         H = sparsify_poly(G, alpha, cfg, RngStream(6))
         rep = similarity_check(H.laplacian_dense(), dense_poly(G, alpha), 0.5)
         assert rep.passed, rep.as_kv()
+
+    def test_dense_exact_with_isolated_vertex(self, caplog):
+        # vertex 55 has D = 0; the chain turns dense at its second product,
+        # where dividing its zero column by D must raise no 0/0
+        A, B = er_graph(30, 0.3, 2), er_graph(25, 0.3, 3)
+        G = WeightedGraph(56, np.concatenate([A.edge_u, B.edge_u + 30]),
+                          np.concatenate([A.edge_v, B.edge_v + 30]), np.ones(A.m + B.m))
+        alpha = PolyCoeffs.parse("0.25,0.25,0.25,0.25")
+        with caplog.at_level(logging.INFO, logger="walksparse"):
+            H = sparsify_poly(G, alpha, SparsifyConfig(epsilon=0.5, second_stage=False), RngStream(0))
+        assert "stage 1 exact" in caplog.text
+        L = dense_poly(G, alpha)
+        np.testing.assert_allclose(H.adjacency_dense(), np.diag(np.diag(L)) - L, rtol=1e-9, atol=0)
