@@ -20,7 +20,9 @@ class ValidationError(WalksparseError):
 
 
 class InputRefusedError(WalksparseError):
-    """Input is structurally valid but unsupported (disconnected, bipartite, ...)."""
+    """Input is valid but cannot be served: its sparsifier splits a component
+    (er_oracle_build), or its weights span too many orders of magnitude for
+    exact resistances."""
 
 
 class ConvergenceError(WalksparseError):

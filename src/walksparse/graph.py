@@ -130,12 +130,6 @@ class WeightedGraph:
     def is_connected(self):
         return self.n <= 1 or self.components[0] == 1
 
-    def is_bipartite(self):
-        """True iff the bipartite double cover has twice as many components."""
-        A = self.adjacency
-        cover = connected_components(sp.bmat([[None, A], [A, None]]), directed=False)[0]
-        return cover == 2 * self.components[0]
-
     def check_invariants(self):
         deg = np.zeros(self.n)
         np.add.at(deg, self.edge_u, self.edge_w)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import sparsify
-from .errors import InputRefusedError, ValidationError
+from .errors import ValidationError
 from .graph import WeightedGraph
 from .sampling import RngStream, substream
 from .sampling import build_template, graph_sampling, sample_template_paths  # noqa: F401 (bench/tracing.py wraps these names here)
@@ -83,8 +84,10 @@ def schedule(d, eps=None) -> DegreeSchedule:
     sampling, and d = 4r+2 above that threshold is substituted by d-2 with
     half the budget (the adjacent even monomials are eps/2-close there).
     """
-    if d < 2 or d % 2 != 0:
-        raise ValidationError("degree must be an even integer >= 2")
+    if not isinstance(d, numbers.Integral) or d < 2 or d % 2 != 0:
+        raise ValidationError(f"degree must be an even integer >= 2, got {d!r}")
+    if eps is not None and not (0 < eps < math.inf):
+        raise ValidationError(f"eps must be positive and finite, got {eps!r}")
     if eps is not None and d <= 4.0 / eps:
         return DegreeSchedule(d, [], direct=True, eps_effective=eps)
     if d % 4 == 2 and d > 2:
@@ -161,20 +164,12 @@ def plus_step(cur: MonomialApprox, base: WeightedGraph, eps, cfg: SparsifyConfig
 
 
 def sparsify_high_degree(G: WeightedGraph, d, eps, cfg: SparsifyConfig = None, rng=None) -> WeightedGraph:
-    """Sparsifier of the d-step walk Laplacian for even d."""
+    """Sparsifier of the d-step walk Laplacian for even d, of any G: walks
+    never leave a component, nor, on a bipartite one, even walks a side."""
     if rng is None:
         rng = RngStream(0)
     if cfg is None:
         cfg = SparsifyConfig(epsilon=min(eps, 1.0))
-    if d < 2 or d % 2 != 0:
-        raise ValidationError("degree must be an even integer >= 2")
-    if not G.is_connected():
-        raise InputRefusedError("high-degree sparsification needs a connected graph")
-    if G.is_bipartite():
-        raise InputRefusedError(
-            "graph is bipartite: even random walks are periodic and the "
-            "high-degree monomial degenerates"
-        )
     sch = schedule(d, eps)
     if sch.direct:
         return sparsify_monomial(G, d, replace(cfg, epsilon=eps), rng)

@@ -18,6 +18,7 @@ low. qth_root_coefficients expands the q-th-root analogue
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,6 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, ValidationError
 from .graph import DENSE_THRESHOLD, PolyCoeffs, SddmMatrix, WeightedGraph
+from .resistance import _one_blas_thread
 from .sampling import RngStream, substream
 from .sddm import sparsify_sddm
 from .sparsify import SparsifyConfig
@@ -102,20 +104,22 @@ def spectral_radius(M: SddmMatrix):
     and charges rho to eps_bound for the terminal truncation.
 
     At n <= DENSE_THRESHOLD it is exact to rounding (one dense eigvalsh of
-    X). Above it, it is theta + ||X v - theta v|| for the Ritz pair
-    (theta, v) of at most LANCZOS_RESTARTS restarts of Lanczos from
-    sqrt(diag). That bounds the eigenvalue nearest theta, so it bounds rho
-    when Lanczos converged to the top eigenvalue; the positive start vector
-    overlaps the Perron vector, which makes this the expected case, but
-    nothing proves it. Where Lanczos does not converge (the top of the
-    spectrum is clustered), _inverse_iteration_bound answers.
+    X, at one OpenBLAS thread so that its bits do not vary). Above it, it is
+    theta + ||X v - theta v|| for the Ritz pair (theta, v) of at most
+    LANCZOS_RESTARTS restarts of Lanczos from sqrt(diag). That bounds the
+    eigenvalue nearest theta, so it bounds rho when Lanczos converged to the
+    top eigenvalue; the positive start vector overlaps the Perron vector,
+    which makes this the expected case, but nothing proves it. Where Lanczos
+    does not converge (the top of the spectrum is clustered),
+    _inverse_iteration_bound answers.
     """
     if M.offdiag.m == 0:
         return 0.0
     isq = 1.0 / np.sqrt(M.diag)
     if M.n <= DENSE_THRESHOLD:
         X = isq[:, None] * M.offdiag.adjacency_dense() * isq[None, :]
-        return float(np.abs(np.linalg.eigvalsh(X)).max())
+        with _one_blas_thread():
+            return float(np.abs(np.linalg.eigvalsh(X)).max())
     X = sp.diags(isq) @ M.offdiag.adjacency @ sp.diags(isq)
     try:
         # a start vector fixed by M keeps replay exact; ARPACK's own is random
@@ -207,8 +211,8 @@ def inv_sqrt_chain(
 def qth_root_coefficients(q) -> PolyCoeffs:
     """PolyCoeffs of the middle polynomial I - sum_r alpha_r X^r where
     (I + X/2q)^{2q} (I - X) = I - poly(X), by binomial convolution."""
-    if q < 1:
-        raise ValidationError("root order q must be a positive integer")
+    if not isinstance(q, numbers.Integral) or q < 1:
+        raise ValidationError(f"root order q must be a positive integer, got {q!r}")
     t = 2 * q
     # alpha_r = C(t, r-1)/t^(r-1) - C(t, r)/t^r for r = 1..t+1
     alpha = np.array(

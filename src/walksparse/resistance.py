@@ -110,29 +110,30 @@ def _default_method(n, delta):
     return "dense-exact" if n <= max(DENSE_THRESHOLD, _sketch_width(n, delta)) else "sketch"
 
 
-# get and set of the thread count of scipy's bundled OpenBLAS, the library
-# lapack.dpotrf runs in; None where no library in scipy.libs exports both
-_BLAS_THREADS = next((
-    (lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads)
-    for lib in map(ctypes.CDLL, glob.glob(os.path.join(os.path.dirname(scipy.__file__), os.pardir,
-                                                       "scipy.libs", "libscipy_openblas*")))
-    if all(hasattr(lib, f"scipy_openblas_{x}_num_threads") for x in ("get", "set"))), None)
+# (get, set) of the thread count of each OpenBLAS bundled with numpy and
+# scipy: numpy.linalg runs in numpy's, whose symbols end in 64_, and
+# lapack.dpotrf in scipy's. A library that exports no such pair is left out.
+_BLAS_THREADS = [
+    (getattr(lib, f"scipy_openblas_get_num_threads{tag}"), getattr(lib, f"scipy_openblas_set_num_threads{tag}"))
+    for pkg in (np, scipy)
+    for lib in map(ctypes.CDLL, glob.glob(os.path.join(os.path.dirname(pkg.__file__), os.pardir,
+                                                       f"{pkg.__name__}.libs", "libscipy_openblas*")))
+    for tag in ("", "64_")
+    if all(hasattr(lib, f"scipy_openblas_{x}_num_threads{tag}") for x in ("get", "set"))]
 
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block with scipy's bundled OpenBLAS at one thread, then restore
-    its count; where _BLAS_THREADS is None, leave the count alone."""
-    if _BLAS_THREADS is None:
-        yield
-        return
-    get, put = _BLAS_THREADS
-    count = get()
-    put(1)
+    """Run the block with every library of _BLAS_THREADS at one thread, then
+    restore their counts."""
+    counts = [get() for get, _ in _BLAS_THREADS]
+    for _, put in _BLAS_THREADS:
+        put(1)
     try:
         yield
     finally:
-        put(count)
+        for (_, put), count in zip(_BLAS_THREADS, counts):
+            put(count)
 
 
 def _grounded_inverse(G: WeightedGraph):
@@ -148,7 +149,7 @@ def _grounded_inverse(G: WeightedGraph):
     span many orders of magnitude. Its upper triangle, all dpotrf reads, is
     set from the edges; a graph with no edges has k = 0 and calls no LAPACK.
     dpotrf's and dpotri's bytes depend on the OpenBLAS thread count, so
-    they run at one thread; where _BLAS_THREADS found no library (a
+    they run at one thread; where _BLAS_THREADS holds no scipy library (a
     scipy not installed from a wheel), the count is left alone and the
     bytes vary with it.
     """
@@ -272,26 +273,21 @@ def er_oracle_build(
 
     cfg, if given, supplies every knob but epsilon. The oracle's sketch, if
     any, is built at delta / 2, so queries satisfy R~ / R within
-    e^eps (1 + delta) on both sides. A disconnected G, or a disconnected
-    sparsifier of a connected G, is refused, since resistances across its
-    components are infinite.
+    e^eps (1 + delta) on both sides. A disconnected G is taken whole, and
+    queries across its components answer inf. A sparsifier with more
+    components than G is refused, since it would answer inf within a
+    component of G.
     """
     _check_delta(delta)  # before the sparsifier is built, not after
-    ncomp = G.components[0]
-    if ncomp > 1:
-        raise InputRefusedError(
-            f"the input graph G is disconnected ({ncomp} components), so resistances "
-            "between its components are infinite"
-        )
     cfg = SparsifyConfig(epsilon=eps) if cfg is None else replace(cfg, epsilon=eps)
     H = sparsify_poly(G, alpha, cfg, rng)
     ncomp = H.components[0]
-    if ncomp > 1:
-        isolated = int(np.count_nonzero(H.degree == 0))
+    if ncomp > G.components[0]:
+        isolated = int(np.count_nonzero((H.degree == 0) & (G.degree > 0)))
         stage = "stage-2" if cfg.second_stage else "stage-1"
         raise InputRefusedError(
-            f"the {stage} sparsifier of L_alpha(G) is disconnected ({ncomp} components, "
-            f"{isolated} isolated vertices), so resistances across components are infinite; "
-            "a larger oversample constant keeps more edges"
+            f"the {stage} sparsifier of L_alpha(G) is disconnected ({ncomp} components against G's "
+            f"{G.components[0]}, {isolated} isolated vertices that have edges in G), so it answers "
+            "inf within a component of G; a larger oversample constant keeps more edges"
         )
     return ErOracle(H, delta / 2, substream(rng, 77))

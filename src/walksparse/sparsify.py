@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +181,6 @@ def sparsify_poly(G: WeightedGraph, alpha: PolyCoeffs, cfg: SparsifyConfig, rng)
 
 def sparsify_monomial(G: WeightedGraph, r, cfg: SparsifyConfig, rng) -> WeightedGraph:
     """Sparsify the r-step walk Laplacian D - D (D^-1 A)^r."""
-    if r < 1:
-        raise ValidationError("monomial degree must be >= 1")
+    if not isinstance(r, numbers.Integral) or r < 1:
+        raise ValidationError(f"monomial degree must be an integer >= 1, got {r!r}")
     return sparsify_poly(G, PolyCoeffs.monomial(r), cfg, rng)

@@ -103,14 +103,17 @@ class TestExitCodes:
         assert code == 3
         assert "'a b'" in capsys.readouterr().err
 
-    def test_refused_disconnected(self, tmp_path, capsys):
-        # high-degree is the one sparsifier that still needs a connected graph
-        G = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        p = tmp_path / "disc.mtx"
+    def _high_degree_certified(self, G, tmp_path, capsys):
+        p, out = tmp_path / "g.mtx", str(tmp_path / "x.mtx")
         save_graph(G, p)
-        code = main(["high-degree", "-i", str(p), "-d", "4", "-o", str(tmp_path / "x.mtx")])
-        assert code == 4
-        assert "needs a connected graph" in capsys.readouterr().err
+        assert main(["high-degree", "-i", str(p), "-d", "4", "-o", out]) == 0
+        assert main(["verify", "-a", out, "-b", str(p), "--alpha", "0,0,0,1", "--eps", "0.5"]) == 0
+        assert "pass=true" in capsys.readouterr().out
+
+    def test_refused_disconnected(self, tmp_path, capsys):
+        # high-degree takes a disconnected graph whole, with no option
+        G = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        self._high_degree_certified(G, tmp_path, capsys)
 
     def test_disconnected_runs_whole(self, tmp_path, capsys):
         # two components and an isolated vertex, with no option
@@ -141,23 +144,19 @@ class TestExitCodes:
         assert math.exp(-0.4) <= lo and hi <= math.exp(0.4)
 
     def test_resistance_refused_disconnected(self, tmp_path, capsys):
+        # a disconnected input is answered: inf across its components
         G = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
         p = tmp_path / "disc.mtx"
         save_graph(G, p)
         q = tmp_path / "queries.txt"
-        q.write_text("0 1\n")
-        code = main(["resistance", "-i", str(p), "--queries", str(q)])
-        assert code == 4
-        err = capsys.readouterr().err
-        assert "input graph G is disconnected" in err and "allow_disconnected" not in err
+        q.write_text("0 1\n1 2\n")
+        assert main(["resistance", "-i", str(p), "--queries", str(q)]) == 0
+        assert [float(x) for x in capsys.readouterr().out.split()] == [1.0, math.inf]
 
-    def test_refused_bipartite_high_degree(self, tmp_path):
+    def test_refused_bipartite_high_degree(self, tmp_path, capsys):
+        # C4 is bipartite: even walks keep its two sides apart, as the sparsifier does
         G = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
-        p = tmp_path / "c4.mtx"
-        save_graph(G, p)
-        code = main(["high-degree", "-i", str(p), "-d", "4",
-                     "-o", str(tmp_path / "x.mtx")])
-        assert code == 4
+        self._high_degree_certified(G, tmp_path, capsys)
 
     def test_verify_failure_exit_5(self, tri_file, tmp_path):
         # a wildly rescaled graph cannot satisfy a tight bracket

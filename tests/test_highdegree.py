@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from walksparse import (
-    InputRefusedError,
     RngStream,
     SparsifyConfig,
     ValidationError,
@@ -71,6 +71,16 @@ class TestSchedule:
             schedule(7)
         with pytest.raises(ValidationError):
             schedule(0)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, math.inf])
+    def test_bad_eps_rejected(self, eps):
+        with pytest.raises(ValidationError, match="eps must be positive and finite"):
+            schedule(8, eps)
+
+    @pytest.mark.parametrize("d", [8.0, "8"])
+    def test_non_integer_degree_rejected(self, d):
+        with pytest.raises(ValidationError, match="even integer"):
+            schedule(d, 0.5)
 
     def test_program_length_logarithmic(self):
         # BFS programs stay within 2 log2(d) + O(1) operations
@@ -181,18 +191,71 @@ class TestDriver:
         assert digest == "a626f7514e74725b7c58d54c1dd98e7b2cbe802c805389da15f7b90fc6cc11d5"
 
     def test_bipartite_refused(self):
+        # taken whole: even walks on the bipartite ring keep its two sides apart
         ring6 = ring_graph(6)
-        with pytest.raises(InputRefusedError):
-            sparsify_high_degree(ring6, 4, 0.5, SparsifyConfig(epsilon=0.5), RngStream(0))
+        H = sparsify_high_degree(ring6, 4, 0.5, SparsifyConfig(epsilon=0.5), RngStream(0))
+        rep = similarity_check(H.laplacian_dense(), dense_monomial(ring6, 4), 0.5)
+        assert rep.passed, rep.as_kv()
 
     def test_disconnected_refused(self):
+        # taken whole: the monomial of two triangles is the direct sum of theirs
         G = WeightedGraph.from_edges(6, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)])
-        with pytest.raises(InputRefusedError):
-            sparsify_high_degree(G, 4, 0.5, SparsifyConfig(epsilon=0.5), RngStream(0))
+        H = sparsify_high_degree(G, 4, 0.5, SparsifyConfig(epsilon=0.5), RngStream(0))
+        rep = similarity_check(H.laplacian_dense(), dense_monomial(G, 4), 0.5)
+        assert rep.passed, rep.as_kv()
 
     def test_odd_degree_rejected(self, triangle):
         with pytest.raises(ValidationError):
             sparsify_high_degree(triangle, 5, 0.5, SparsifyConfig(epsilon=0.5), RngStream(0))
+
+    @pytest.mark.parametrize("d, eps", [(8, 0.0), (2.0, 0.5), (8.0, 0.5)])
+    def test_bad_degree_or_eps_rejected(self, triangle, d, eps):
+        with pytest.raises(ValidationError):
+            sparsify_high_degree(triangle, d, eps, SparsifyConfig(epsilon=0.5), RngStream(0))
+
+
+def _bipartite(a, b, p, seed):
+    """Random bipartite graph on sides 0..a-1 and a..a+b-1, weights 10^U(-1, 1)."""
+    gen = np.random.default_rng(seed)
+    u, v = np.nonzero(gen.random((a, b)) < p)
+    return WeightedGraph(a + b, u, v + a, 10 ** gen.uniform(-1, 1, len(u)))
+
+
+def _beside(*graphs):
+    """Disjoint union, each graph's vertices after the previous ones'."""
+    return WeightedGraph.from_dense(block_diag(*(G.adjacency_dense() for G in graphs)))
+
+
+class TestFamilies:
+    """Bipartite and disconnected inputs, certified densely on both stage-one routes."""
+
+    FAMILIES = {
+        "bipartite": lambda: _bipartite(25, 25, 0.2, 1),
+        "two-er-isolated": lambda: _beside(er_graph(20, 0.3, 2), er_graph(15, 0.4, 3), WeightedGraph(1, [], [], [])),
+        "er-bipartite": lambda: _beside(er_graph(20, 0.3, 4), _bipartite(12, 10, 0.3, 5)),
+    }
+
+    @pytest.mark.parametrize("route", ["exact", "sample"])
+    @pytest.mark.parametrize("d", [8, 12])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_certified(self, family, d, route, request):
+        if route == "sample":
+            request.getfixturevalue("sampled")
+        G = self.FAMILIES[family]()
+        H = sparsify_high_degree(G, d, 0.75, SparsifyConfig(epsilon=0.75, oversample=1.0), RngStream(d))
+        rep = similarity_check(H.laplacian_dense(), dense_monomial(G, d), 0.75)
+        assert rep.passed, rep.as_kv()
+
+    def test_stage_two_samples_both_sides(self):
+        # at n = 200 the final resparsify samples the two sides of the degree-8
+        # monomial of a connected bipartite graph in one pass
+        G = _bipartite(100, 100, 0.1, 1)
+        H = sparsify_high_degree(G, 8, 0.75, SparsifyConfig(epsilon=0.75, oversample=1.0), RngStream(8))
+        L = dense_monomial(G, 8)
+        assert G.is_connected() and H.components[0] == 2
+        assert H.m < np.count_nonzero(np.triu(L, 1))
+        rep = similarity_check(H.laplacian_dense(), L, 0.75)
+        assert rep.passed, rep.as_kv()
 
 
 class TestBracketImplications:

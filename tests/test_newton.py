@@ -25,7 +25,7 @@ from walksparse import (
 )
 import walksparse
 from walksparse.graph import DENSE_THRESHOLD
-from walksparse import newton
+from walksparse import newton, resistance
 from walksparse.newton import NEWTON_ALPHA, AffineFactor, spectral_radius
 
 from conftest import path_graph, random_sddm, star_graph
@@ -65,6 +65,10 @@ class TestQthRootCoefficients:
     def test_q_zero_rejected(self):
         with pytest.raises(ValidationError):
             qth_root_coefficients(0)
+
+    def test_non_integer_q_rejected(self):
+        with pytest.raises(ValidationError, match="positive integer"):
+            qth_root_coefficients(1.5)
 
     def test_math_comb_matches_scipy_comb(self):
         from scipy.special import comb
@@ -253,6 +257,20 @@ class TestSpectralRadius:
     def test_matches_dense(self):
         M = random_sddm(30, 0.3, 9, slack=0.5)
         assert spectral_radius(M) == pytest.approx(_dense_radius(M), rel=1e-12)
+
+    def test_bits_independent_of_blas_threads(self):
+        # numpy's eigvalsh rounds differently at 1 and 2 OpenBLAS threads unless pinned
+        if not resistance._BLAS_THREADS:
+            pytest.skip("numpy and scipy bundle no OpenBLAS whose thread count can be set")
+        code = ("from conftest import random_sddm; from walksparse.newton import spectral_radius; "
+                "print(spectral_radius(random_sddm(512, 0.05, 1, slack=0.01)).hex())")
+        path = os.pathsep.join([os.path.dirname(os.path.dirname(newton.__file__)), os.path.dirname(__file__)])
+        out = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            out[threads] = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                          env=env, check=True).stdout
+        assert out["1"] == out["2"]
 
     @pytest.mark.parametrize(
         "M",

@@ -229,22 +229,33 @@ class TestErOracle:
         with pytest.raises(InputRefusedError, match=f"disconnected .*{isolated} isolated vertices"):
             er_oracle_build(G, alpha, 1.0, RngStream(0), delta=0.8, cfg=cfg)
 
+    def test_split_of_disconnected_input_refused(self):
+        # G's own isolated vertex and component are no split: the count names
+        # only vertices that lost their edges
+        C = er_graph(100, 0.06, 0)
+        G = WeightedGraph(103, np.r_[C.edge_u, 100], np.r_[C.edge_v, 101], np.r_[C.edge_w, 1.0])
+        alpha = PolyCoeffs.parse("0.5,0.5")
+        cfg = SparsifyConfig(epsilon=1.0, oversample=0.1)
+        H = sparsify_poly(G, alpha, cfg, RngStream(0))
+        isolated = int(np.sum(H.degree == 0)) - 1
+        assert isolated > 0
+        with pytest.raises(InputRefusedError, match=f"against G's 3, {isolated} isolated vertices"):
+            er_oracle_build(G, alpha, 1.0, RngStream(0), delta=0.8, cfg=cfg)
+
     @pytest.mark.parametrize("cfg", [None, SparsifyConfig(epsilon=0.5, oversample=0.1)], ids=["default", "cfg"])
-    def test_disconnected_input_refused(self, cfg, monkeypatch):
-        # refused before any sparsifier is built, naming the input graph, with
-        # neither an option the resistance CLI lacks nor the oversample constant
-        from walksparse import resistance
-
-        def unreachable(*args):
-            raise AssertionError("sparsified a disconnected input")
-
-        monkeypatch.setattr(resistance, "sparsify_poly", unreachable)
+    def test_disconnected_input_refused(self, cfg):
+        # taken whole, with no option: each component answers as its own
+        # oracle does, and pairs across components answer inf
         tri = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
-        G = WeightedGraph.from_edges(6, tri + [(u + 3, v + 3, w) for u, v, w in tri])
-        with pytest.raises(InputRefusedError, match=r"input graph G is disconnected \(2 components\)") as err:
-            er_oracle_build(G, PolyCoeffs.parse("0.5,0.5"), 0.5, RngStream(0), cfg=cfg)
-        assert "infinite" in str(err.value)
-        assert "allow_disconnected" not in str(err.value) and "oversample" not in str(err.value)
+        heavy = [(u, v, 3.0 * w) for u, v, w in tri[:2]]  # a weighted path
+        G = WeightedGraph.from_edges(6, tri + [(u + 3, v + 3, w) for u, v, w in heavy])
+        alpha = PolyCoeffs.parse("0.5,0.5")
+        oracle = er_oracle_build(G, alpha, 0.5, RngStream(0), cfg=cfg)
+        for edges, at in ((tri, 0), (heavy, 3)):
+            own = er_oracle_build(WeightedGraph.from_edges(3, edges), alpha, 0.5, RngStream(0), cfg=cfg)
+            for u, v in ((0, 1), (1, 2), (0, 2)):
+                assert oracle.query(u + at, v + at) == pytest.approx(own.query(u, v), rel=1e-12, abs=0)
+        assert oracle.query(0, 3) == oracle.query(5, 2) == math.inf
 
     def test_cfg_epsilon_is_replaced_by_eps(self):
         # cfg supplies oversample and second_stage; the sparsifier is built at eps
@@ -309,12 +320,12 @@ class TestGroundedInverse:
 
     def test_bytes_independent_of_blas_threads(self):
         # dpotrf and dpotri round differently at 1 and 2 OpenBLAS threads unless pinned
-        if resistance._BLAS_THREADS is None:
-            pytest.skip("scipy bundles no OpenBLAS whose thread count can be set")
+        if not resistance._BLAS_THREADS:
+            pytest.skip("numpy and scipy bundle no OpenBLAS whose thread count can be set")
         code = ("import hashlib; from conftest import er_graph; from walksparse import resistance as r; "
-                "get = r._BLAS_THREADS[0]; before = get(); "
+                "counts = lambda: ','.join(str(get()) for get, _ in r._BLAS_THREADS); before = counts(); "
                 "X = r._grounded_inverse(er_graph(200, 0.2, 1, weighted=True))[0]; "
-                "print(hashlib.sha256(X.tobytes()).hexdigest(), before, get())")
+                "print(hashlib.sha256(X.tobytes()).hexdigest(), before, counts())")
         path = os.pathsep.join([os.path.dirname(os.path.dirname(resistance.__file__)), os.path.dirname(__file__)])
         out = {}
         for threads in ("1", "2"):

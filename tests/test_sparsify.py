@@ -154,13 +154,14 @@ class TestSparsifyPoly:
         assert rep.passed, rep.as_kv()
 
     def test_bipartite_even_monomial_two_stages(self, caplog):
-        # the 2-step walks of a bipartite graph split into two components,
-        # which stage 2 resparsifies in one pass; stage 1 is the exact product here
+        # the 2-step walks of a bipartite graph (u < 100 <= v) split into two
+        # components, which stage 2 resparsifies in one pass; stage 1 is the
+        # exact product here
         gen = np.random.default_rng(13)
         u = gen.integers(0, 100, 1500)
         v = 100 + gen.integers(0, 100, 1500)
         G = WeightedGraph.from_edges(200, list(zip(u, v, np.ones(1500))))
-        assert G.is_connected() and G.is_bipartite()
+        assert G.is_connected()
         alpha = PolyCoeffs.parse("0,1")
         cfg = SparsifyConfig(epsilon=1.0, oversample=1.0)
         stage_one = SparsifyConfig(epsilon=cfg.eps_stage_one, oversample=1.0, second_stage=False)
@@ -192,6 +193,10 @@ class TestSparsifyMonomial:
     def test_invalid_degree(self, triangle):
         with pytest.raises(ValidationError):
             sparsify_monomial(triangle, 0, SparsifyConfig(epsilon=0.5), RngStream(0))
+
+    def test_non_integer_degree(self, triangle):
+        with pytest.raises(ValidationError, match="integer"):
+            sparsify_monomial(triangle, 1.5, SparsifyConfig(epsilon=0.5), RngStream(0))
 
     @pytest.mark.parametrize("route", ["exact", "sample"])
     def test_all_closed_walks_give_empty_graph(self, route, single_edge, caplog, request):
