@@ -46,7 +46,7 @@ from .sampling import (
     sample_paths,
     sample_template_paths,
 )
-from .sddm import SddmPolyResult, extra_diagonal, sparsify_sddm
+from .sddm import extra_diagonal, sparsify_sddm
 from .sparsify import SparsifyConfig, sparsify_monomial, sparsify_poly
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "RngStream",
     "SamplerIndex",
     "SddmMatrix",
-    "SddmPolyResult",
     "SimilarityReport",
     "SparsifyConfig",
     "ValidationError",

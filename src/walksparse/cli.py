@@ -171,9 +171,9 @@ def _run_high_degree(args):
 def _run_sparsify_sddm(args):
     M = load_sddm(args.input)
     res, wall = _timed(sparsify_sddm, M, args.alpha, _cfg(args), RngStream(args.seed))
-    save_sddm(res.sddm(), args.output)
+    save_sddm(res, args.output)
     _write_manifest(args.output, args, alpha=",".join(f"{a:.17g}" for a in args.alpha.alpha),
-                    wall_time=wall, output_nnz=res.graph.m)
+                    wall_time=wall, output_nnz=res.offdiag.m)
     return EXIT_OK
 
 
@@ -197,10 +197,10 @@ def _run_qth_root(args):
     M = load_sddm(args.input)
     alpha = qth_root_coefficients(args.q)
     res, wall = _timed(sparsify_sddm, M, alpha, _cfg(args), RngStream(args.seed))
-    save_sddm(res.sddm(), args.output)
+    save_sddm(res, args.output)
     _write_manifest(args.output, args, q=args.q,
                     middle_alpha=",".join(f"{a:.17g}" for a in alpha.alpha),
-                    wall_time=wall, output_nnz=res.graph.m)
+                    wall_time=wall, output_nnz=res.offdiag.m)
     return EXIT_OK
 
 

@@ -20,9 +20,9 @@ class ValidationError(WalksparseError):
 
 
 class InputRefusedError(WalksparseError):
-    """Input is valid but cannot be served: its sparsifier splits a component
-    (er_oracle_build), or its weights span too many orders of magnitude for
-    exact resistances."""
+    """Input is valid but cannot be served: its sparsifier has more components
+    than L_alpha(G) (er_oracle_build), or its weights span too many orders of
+    magnitude for exact resistances."""
 
 
 class ConvergenceError(WalksparseError):

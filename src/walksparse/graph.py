@@ -24,6 +24,8 @@ from .errors import GraphFormatError, ValidationError
 log = logging.getLogger(__name__)
 
 DEGREE_RTOL = 1e-12
+# SddmMatrix's slack tolerance, relative to max(diag, 1)
+SLACK_RTOL = 1e-12
 # Largest n handled by the dense oracle. Effective resistances are exact up
 # to n = max(DENSE_THRESHOLD, JL sketch width).
 DENSE_THRESHOLD = 512
@@ -198,7 +200,7 @@ class SddmMatrix:
     component of offdiag that has an edge (else that block is singular).
     """
 
-    def __init__(self, diag, offdiag: WeightedGraph, tol=1e-12):
+    def __init__(self, diag, offdiag: WeightedGraph):
         diag = np.asarray(diag, dtype=np.float64)
         if diag.shape != (offdiag.n,):
             raise ValidationError("diagonal length must match vertex count")
@@ -206,12 +208,12 @@ class SddmMatrix:
             raise ValidationError("diagonal entries must be finite and positive")
         slack = diag - offdiag.degree
         scale = np.maximum(diag, 1.0)
-        if np.any(slack < -tol * scale):
+        if np.any(slack < -SLACK_RTOL * scale):
             raise ValidationError("matrix is not diagonally dominant")
         slack = np.maximum(slack, 0.0)
         ncomp, comp = offdiag.components
         dry = np.bincount(comp, minlength=ncomp) > 1
-        dry[comp[slack > tol * scale]] = False
+        dry[comp[slack > SLACK_RTOL * scale]] = False
         if np.any(dry):
             c = np.argmax(dry)
             raise ValidationError(f"splitting is not positive definite: component {c} of {ncomp} "

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from . import sparsify
 from .errors import ValidationError
 from .graph import WeightedGraph
-from .sampling import RngStream, substream
+from .sampling import RngStream
 from .sampling import build_template, graph_sampling, sample_template_paths  # noqa: F401 (bench/tracing.py wraps these names here)
 from .sparsify import SparsifyConfig, sparsify_monomial
 
@@ -180,7 +180,7 @@ def sparsify_high_degree(G: WeightedGraph, d, eps, cfg: SparsifyConfig = None, r
     H2 = sparsify_monomial(G, 2, replace(cfg, epsilon=eps_step), rng)
     cur = _clamp_degree_excess(MonomialApprox(2, H2, G.degree.copy(), eps_step))
     for i, op in enumerate(sch.ops):
-        sub = substream(rng, 10 + i)
+        sub = rng.split(10 + i)
         if op == SQUARE:
             cur = square_step(cur, eps_step, cfg, sub)
         else:
@@ -190,4 +190,4 @@ def sparsify_high_degree(G: WeightedGraph, d, eps, cfg: SparsifyConfig = None, r
 
     from .resistance import resparsify
 
-    return resparsify(cur.graph, eps_eff / 2, cfg, substream(rng, 99))
+    return resparsify(cur.graph, eps_eff / 2, cfg, rng.split(99))

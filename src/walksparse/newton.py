@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 from .errors import ConvergenceError, ValidationError
 from .graph import DENSE_THRESHOLD, PolyCoeffs, SddmMatrix, WeightedGraph
 from .resistance import _one_blas_thread
-from .sampling import RngStream, substream
+from .sampling import RngStream
 from .sddm import sparsify_sddm
 from .sparsify import SparsifyConfig
 
@@ -154,8 +154,7 @@ def newton_sqrt_step(M: SddmMatrix, eps, cfg: SparsifyConfig, rng):
     factor = AffineFactor(diag=M.diag, graph=M.offdiag)
     if M.offdiag.m == 0:
         return factor, M
-    res = sparsify_sddm(M, NEWTON_ALPHA, replace(cfg, epsilon=eps), rng)
-    return factor, res.sddm()
+    return factor, sparsify_sddm(M, NEWTON_ALPHA, replace(cfg, epsilon=eps), rng)
 
 
 def inv_sqrt_chain(
@@ -200,7 +199,7 @@ def inv_sqrt_chain(
             chain.terminal_diag = cur.diag.copy()
             chain.eps_bound = min(1.0, len(chain.factors) * eps_step + rho)
             return chain
-        factor, cur = newton_sqrt_step(cur, eps_step, cfg, substream(rng, 300 + k))
+        factor, cur = newton_sqrt_step(cur, eps_step, cfg, rng.split(300 + k))
         chain.factors.append(factor)
     raise ConvergenceError(
         f"inverse-sqrt chain did not reach walk ratio {threshold:.3g} in {max_iters} steps",

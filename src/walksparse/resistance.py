@@ -20,7 +20,7 @@ import glob
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import scipy
@@ -30,7 +30,7 @@ from scipy.linalg import lapack
 
 from .errors import ConvergenceError, InputRefusedError, ValidationError
 from .graph import DENSE_THRESHOLD, PolyCoeffs, WeightedGraph
-from .sampling import RngStream, _as_generator, substream
+from .sampling import RngStream, _as_generator
 from .sparsify import SparsifyConfig, sparsify_poly, stage_two_edge_budget
 
 
@@ -38,14 +38,6 @@ from .sparsify import SparsifyConfig, sparsify_poly, stage_two_edge_budget
 SKETCH_BLOCK_ENTRIES = 1 << 20
 # relative residual at which each sketch column's CG solve stops
 CG_RTOL = 1e-8
-
-
-@dataclass
-class ErEstimates:
-    """Per-edge upper bounds Z(e) >= R(e), aligned with the graph's edges."""
-
-    Z: np.ndarray
-    method: str  # 'dense-exact' or 'sketch'
 
 
 def _incidence_rows(G: WeightedGraph):
@@ -230,14 +222,14 @@ class ErOracle:
         return float(self._resistances(self._rows[min(u, v)], self._rows[max(u, v)]))
 
 
-def estimate_er(H: WeightedGraph, delta=0.2, rng=None) -> ErEstimates:
-    """Per-edge resistance upper bounds: ErOracle(H, delta, rng) on H's edges,
+def estimate_er(H: WeightedGraph, delta=0.2, rng=None) -> np.ndarray:
+    """Per-edge upper bounds Z(e) >= R(e): ErOracle(H, delta, rng) on H's edges,
     sketched ones inflated by (1 + delta)^2 to remain upper bounds w.h.p."""
     oracle = ErOracle(H, delta, rng)
     Z = oracle.resistances(H.edge_u, H.edge_v)  # edge_u < edge_v
     if oracle.method == "sketch":
         Z = Z * (1 + delta) ** 2
-    return ErEstimates(Z=Z, method=oracle.method)
+    return Z
 
 
 def resparsify(H: WeightedGraph, eps, cfg: SparsifyConfig, rng) -> WeightedGraph:
@@ -250,8 +242,7 @@ def resparsify(H: WeightedGraph, eps, cfg: SparsifyConfig, rng) -> WeightedGraph
     budget = stage_two_edge_budget(H.n, eps, cfg)
     if H.m <= budget:
         return H
-    est = estimate_er(H, rng=rng)
-    tau = H.edge_w * est.Z
+    tau = H.edge_w * estimate_er(H, rng=rng)
     tau_total = float(tau.sum())
     M = int(math.ceil(cfg.oversample * math.log(max(H.n, 2)) / eps**2 * tau_total))
     gen = _as_generator(rng)
@@ -274,20 +265,27 @@ def er_oracle_build(
     cfg, if given, supplies every knob but epsilon. The oracle's sketch, if
     any, is built at delta / 2, so queries satisfy R~ / R within
     e^eps (1 + delta) on both sides. A disconnected G is taken whole, and
-    queries across its components answer inf. A sparsifier with more
-    components than G is refused, since it would answer inf within a
-    component of G.
+    queries across the components of L_alpha(G) answer inf: with no odd
+    alpha_r > 0, walks keep to one side of a bipartite component, so its
+    sides answer inf too. A sparsifier with more components than L_alpha(G)
+    is refused, since it would answer inf within one of them.
     """
     _check_delta(delta)  # before the sparsifier is built, not after
     cfg = SparsifyConfig(epsilon=eps) if cfg is None else replace(cfg, epsilon=eps)
     H = sparsify_poly(G, alpha, cfg, rng)
-    ncomp = H.components[0]
-    if ncomp > G.components[0]:
+    ncomp, want = H.components[0], G.components[0]
+    if not np.any(alpha.alpha[::2] > 0):
+        # even walks link u and v iff the bipartite double cover links u and v + n;
+        # an isolated vertex of G is one component of L_alpha(G), not two
+        cover = WeightedGraph(2 * G.n, np.r_[G.edge_u, G.edge_v], np.r_[G.edge_v, G.edge_u] + G.n,
+                              np.r_[G.edge_w, G.edge_w])
+        want = cover.components[0] - int(np.count_nonzero(G.degree == 0))
+    if ncomp > want:
         isolated = int(np.count_nonzero((H.degree == 0) & (G.degree > 0)))
         stage = "stage-2" if cfg.second_stage else "stage-1"
         raise InputRefusedError(
-            f"the {stage} sparsifier of L_alpha(G) is disconnected ({ncomp} components against G's "
-            f"{G.components[0]}, {isolated} isolated vertices that have edges in G), so it answers "
-            "inf within a component of G; a larger oversample constant keeps more edges"
+            f"the {stage} sparsifier of L_alpha(G) is disconnected ({ncomp} components against "
+            f"L_alpha(G)'s {want}, {isolated} isolated vertices that have edges in G), so it answers "
+            "inf within a component of L_alpha(G); a larger oversample constant keeps more edges"
         )
-    return ErOracle(H, delta / 2, substream(rng, 77))
+    return ErOracle(H, delta / 2, rng.split(77))

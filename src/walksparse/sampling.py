@@ -50,17 +50,12 @@ class RngStream:
         return RngStream(self.seed, stream)
 
 
-def substream(rng, stream):
-    """rng.split(stream) for an RngStream; any other rng is passed on as is."""
-    return rng.split(stream) if isinstance(rng, RngStream) else rng
-
-
 def _as_generator(rng):
     if isinstance(rng, RngStream):
         return rng.generator()
     if isinstance(rng, np.random.Generator):
         return rng
-    return np.random.default_rng(rng)
+    raise ValidationError(f"rng must be an RngStream or a numpy Generator, got {rng!r}")
 
 
 class _RowTable:

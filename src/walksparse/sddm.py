@@ -5,17 +5,15 @@ with the SDDM diagonal D in place of A 1, so its off-diagonal part is
 sparsified by sparsify.walk_graph with walks normalized by D; the sample
 count follows their D-normalised mass, which shrinks as D grows. The excess
 diagonal of the polynomial is computed exactly by sparse matrix-vector
-products and returned alongside the sparsified graph.
+products and added to the sparsified graph's degrees in the SddmMatrix returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
-from .graph import PolyCoeffs, SddmMatrix, WeightedGraph
+from .graph import PolyCoeffs, SddmMatrix
 from .sampling import SamplerIndex, graph_sampling  # noqa: F401 (bench/tracing.py wraps these names here)
 from .sparsify import SparsifyConfig, walk_graph
 
@@ -39,32 +37,13 @@ def extra_diagonal(M: SddmMatrix, alpha: PolyCoeffs) -> np.ndarray:
     return out
 
 
-@dataclass
-class SddmPolyResult:
-    """Sparsified SDDM polynomial in split form L_H + diag(extra)."""
-
-    graph: WeightedGraph
-    extra: np.ndarray
-
-    def dense(self):
-        out = -self.graph.adjacency_dense()
-        np.fill_diagonal(out, self.graph.degree + self.extra)
-        return out
-
-    def sddm(self) -> SddmMatrix:
-        return SddmMatrix(self.graph.degree + np.maximum(self.extra, 0.0), self.graph)
-
-    def matvec(self, x):
-        g = self.graph
-        return g.degree * x - g.adjacency @ x + self.extra * x
-
-
-def sparsify_sddm(M: SddmMatrix, alpha: PolyCoeffs, cfg: SparsifyConfig, rng) -> SddmPolyResult:
-    """Sparsifier of M_alpha = D - sum_r alpha_r D (D^-1 A)^r."""
+def sparsify_sddm(M: SddmMatrix, alpha: PolyCoeffs, cfg: SparsifyConfig, rng) -> SddmMatrix:
+    """Sparsifier of M_alpha = D - sum_r alpha_r D (D^-1 A)^r, as L_H + diag(max(extra, 0))."""
     G = M.offdiag
     if G.m < 1:
         raise ValidationError("off-diagonal part has no edges")
     extra = extra_diagonal(M, alpha)
     if np.min(extra) < -1e-9 * np.max(M.diag):
         raise ValidationError("polynomial row sums went negative; input is not SDDM enough")
-    return SddmPolyResult(graph=walk_graph(G, M.diag, alpha, cfg, rng), extra=np.maximum(extra, 0.0))
+    H = walk_graph(G, M.diag, alpha, cfg, rng)
+    return SddmMatrix(H.degree + np.maximum(extra, 0.0), H)

@@ -153,6 +153,16 @@ class TestExitCodes:
         assert main(["resistance", "-i", str(p), "--queries", str(q)]) == 0
         assert [float(x) for x in capsys.readouterr().out.split()] == [1.0, math.inf]
 
+    def test_resistance_bipartite_even_alpha(self, tmp_path, capsys):
+        # C4 is bipartite: under alpha = 0,1 the sides {0, 2} and {1, 3} answer inf between them
+        G = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
+        p = tmp_path / "c4.mtx"
+        save_graph(G, p)
+        q = tmp_path / "queries.txt"
+        q.write_text("0 2\n0 1\n")
+        assert main(["resistance", "-i", str(p), "--alpha", "0,1", "--queries", str(q)]) == 0
+        assert [float(x) for x in capsys.readouterr().out.split()] == [pytest.approx(1.0), math.inf]
+
     def test_refused_bipartite_high_degree(self, tmp_path, capsys):
         # C4 is bipartite: even walks keep its two sides apart, as the sparsifier does
         G = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])

@@ -208,7 +208,8 @@ class TestSddmMatrix:
         SddmMatrix(diag, G)
 
     def test_isolated_vertices_need_no_slack(self):
-        M = SddmMatrix(np.ones(3), WeightedGraph.from_edges(3, []), tol=math.inf)
+        # slack 1e-13 is below the tolerance, so only the isolated-vertex rule admits it
+        M = SddmMatrix(np.full(3, 1e-13), WeightedGraph.from_edges(3, []))
         assert M.n == 3
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

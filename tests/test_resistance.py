@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -36,22 +37,21 @@ from references import exact_resistances
 class TestEstimateEr:
     def test_dense_exact_matches_oracle(self):
         G = er_graph(30, 0.2, 0, weighted=True)
-        est = estimate_er(G)
-        assert est.method == "dense-exact"
+        assert ErOracle(G, 0.2).method == "dense-exact"
         R = exact_resistances(G)
-        np.testing.assert_allclose(est.Z, R[G.edge_u, G.edge_v], rtol=1e-9)
+        np.testing.assert_allclose(estimate_er(G), R[G.edge_u, G.edge_v], rtol=1e-9)
 
     @pytest.mark.usefixtures("sketched")
     def test_sketch_upper_bounds(self):
         G = er_graph(60, 0.15, 1, weighted=True)
         delta = 0.2
-        est = estimate_er(G, delta=delta, rng=RngStream(3))
-        assert est.method == "sketch"
+        assert ErOracle(G, delta, RngStream(3)).method == "sketch"
+        Z = estimate_er(G, delta=delta, rng=RngStream(3))
         R = exact_resistances(G)
         exact = R[G.edge_u, G.edge_v]
         # inflated sketch stays an upper bound and within (1+delta)^4 above
-        assert np.all(est.Z >= exact * 0.999)
-        assert np.all(est.Z <= exact * (1 + delta) ** 4)
+        assert np.all(Z >= exact * 0.999)
+        assert np.all(Z <= exact * (1 + delta) ** 4)
 
     def test_foster_identity_extreme_weights(self):
         # sum_e w_e R_e = n - 1 (Foster); a truncated pseudoinverse loses it
@@ -62,9 +62,8 @@ class TestEstimateEr:
             G0 = er_graph(n, min(1.0, max(0.1, 2.5 * math.log(n) / n)), seed)
             w = 10.0 ** gen.uniform(-8, 8, G0.m)
             G = WeightedGraph(n, G0.edge_u, G0.edge_v, w)
-            est = estimate_er(G)
-            assert est.method == "dense-exact"
-            assert float(np.sum(w * est.Z)) == pytest.approx(n - 1, rel=1e-3), (seed, n)
+            assert ErOracle(G, 0.2).method == "dense-exact"
+            assert float(np.sum(w * estimate_er(G))) == pytest.approx(n - 1, rel=1e-3), (seed, n)
 
     def test_refuses_weights_beyond_double_precision(self):
         # a 1e-9 bridge between 1e8 edges vanishes in the grounded diagonal
@@ -75,11 +74,11 @@ class TestEstimateEr:
     def test_method_rule(self):
         # exact unless n > max(DENSE_THRESHOLD, k), k = ceil(24 ln n / delta^2)
         G = er_graph(600, 0.02, 11)
-        assert estimate_er(G).method == "dense-exact"  # k = 3,838
-        assert estimate_er(G, delta=1.0, rng=RngStream(1)).method == "sketch"  # k = 154
+        assert ErOracle(G, 0.2).method == "dense-exact"  # k = 3,838
+        assert ErOracle(G, 1.0, RngStream(1)).method == "sketch"  # k = 154
         small = er_graph(40, 0.2, 12)
         for delta in (0.2, 1.0, 5.0):
-            assert estimate_er(small, delta=delta, rng=RngStream(1)).method == "dense-exact"
+            assert ErOracle(small, delta, RngStream(1)).method == "dense-exact"
 
     def test_blocked_sketch_matches_one_shot(self, monkeypatch):
         from walksparse import resistance
@@ -101,10 +100,10 @@ class TestEstimateEr:
         parts = [(A, perm[: A.n]), (B, perm[A.n : -1])]
         u, v = (np.concatenate([ids[getattr(C, e)] for C, ids in parts]) for e in ("edge_u", "edge_v"))
         G = WeightedGraph(len(perm), np.minimum(u, v), np.maximum(u, v), np.concatenate([A.edge_w, B.edge_w]))
-        Z = dict(zip(zip(G.edge_u, G.edge_v), estimate_er(G).Z))
+        Z = dict(zip(zip(G.edge_u, G.edge_v), estimate_er(G)))
         for C, ids in parts:
             whole = [Z[min(ids[a], ids[b]), max(ids[a], ids[b])] for a, b in zip(C.edge_u, C.edge_v)]
-            np.testing.assert_allclose(whole, estimate_er(C).Z, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(whole, estimate_er(C), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("delta", [0.0, -0.2, math.nan, math.inf])
     def test_delta_positive_and_finite(self, triangle, delta):
@@ -154,6 +153,34 @@ class TestResparsify:
         H1 = resparsify(G, 0.4, cfg, RngStream(5))
         H2 = resparsify(G, 0.4, cfg, RngStream(5))
         assert H1 == H2
+
+    @pytest.mark.parametrize("rng", [None, 5])
+    def test_rng_without_stream_refused(self, rng):
+        # None or a seed would draw OS entropy or an unnamed stream, not a replayable one
+        G = er_graph(60, 0.4, 4)
+        cfg = SparsifyConfig(epsilon=0.5, oversample=0.1)
+        assert resparsify(G, 0.5, cfg, RngStream(5)).m < G.m  # above the budget, so it samples
+        with pytest.raises(ValidationError, match="RngStream"):
+            resparsify(G, 0.5, cfg, rng)
+
+    @pytest.mark.parametrize("route, edges, digest", [
+        ("dense-exact", 247, "698ab4394907dabb0c36745a13603b316342d6295252b461bb4112df5006e0be"),
+        ("sketch", 321, "e51b5ddc23902dc0102c388ab8bbd02a66400806fdffd516755105fba918ead3"),
+    ])
+    def test_disconnected_stage_two_pinned(self, route, edges, digest, request):
+        # two weighted components and an isolated vertex are sampled in one pass; each
+        # route grounds the heaviest vertex of each component
+        if route == "sketch":
+            request.getfixturevalue("sketched")
+        A, B = er_graph(40, 0.4, 31, weighted=True), er_graph(30, 0.5, 32, weighted=True)
+        G = WeightedGraph(A.n + B.n + 1, np.r_[A.edge_u, B.edge_u + A.n], np.r_[A.edge_v, B.edge_v + A.n],
+                          np.r_[A.edge_w, B.edge_w])
+        assert (G.m, resistance._default_method(G.n, 0.2)) == (528, route)
+        H = resparsify(G, 0.5, SparsifyConfig(epsilon=1.0, oversample=0.3), RngStream(11))
+        h = hashlib.sha256()
+        for a in (H.edge_u, H.edge_v, H.edge_w):
+            h.update(a.tobytes())
+        assert (H.m, h.hexdigest()) == (edges, digest)
 
 
 class TestErOracle:
@@ -239,8 +266,28 @@ class TestErOracle:
         H = sparsify_poly(G, alpha, cfg, RngStream(0))
         isolated = int(np.sum(H.degree == 0)) - 1
         assert isolated > 0
-        with pytest.raises(InputRefusedError, match=f"against G's 3, {isolated} isolated vertices"):
+        with pytest.raises(InputRefusedError, match=f"against L_alpha\\(G\\)'s 3, {isolated} isolated vertices"):
             er_oracle_build(G, alpha, 1.0, RngStream(0), delta=0.8, cfg=cfg)
+
+    @pytest.mark.parametrize("a", ["0,1", "0,0,0,1", "0,0.5,0,0.5"])
+    def test_bipartite_even_alpha_sides(self, a):
+        # with no odd term L_alpha(G) keeps the sides of a bipartite G apart, so its
+        # sparsifier's two components are no split: each side answers as the dense
+        # pseudoinverse does, and pairs across sides answer inf
+        gen = np.random.default_rng(5)
+        u, v = np.nonzero(gen.random((30, 30)) < 0.2)
+        G = WeightedGraph(60, u, v + 30, 0.5 + gen.random(len(u)))
+        assert G.components[0] == 1
+        alpha = PolyCoeffs.parse(a)
+        oracle = er_oracle_build(G, alpha, 0.5, RngStream(1))
+        assert oracle.graph.components[0] == 2
+        P = np.linalg.pinv(dense_poly(G, alpha))
+        for side in (range(30), range(30, 60)):
+            for x in side[:5]:
+                for y in side[5:10]:
+                    truth = P[x, x] + P[y, y] - 2 * P[x, y]
+                    assert oracle.query(x, y) == pytest.approx(truth, rel=1e-9), (x, y)
+        assert oracle.query(0, 30) == oracle.query(59, 29) == math.inf
 
     @pytest.mark.parametrize("cfg", [None, SparsifyConfig(epsilon=0.5, oversample=0.1)], ids=["default", "cfg"])
     def test_disconnected_input_refused(self, cfg):
