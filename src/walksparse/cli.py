@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -143,37 +144,25 @@ def _write_manifest(path, args, **extra):
         fh.write("".join(f"{k}={v}\n" for k, v in fields.items()))
 
 
-def _run_sparsify_poly(args):
+def _coeffs(alpha):
+    return ",".join(f"{a:.17g}" for a in alpha.alpha)
+
+
+def _run_graph(args, fn, *params, **keys):
+    """fn(G, *params, cfg, rng) on the input graph; keys precede wall_time in the manifest."""
     G = load_graph(args.input, fmt=args.format)
-    H, wall = _timed(sparsify_poly, G, args.alpha, _cfg(args), RngStream(args.seed))
+    H, wall = _timed(fn, G, *params, _cfg(args), RngStream(args.seed))
     save_graph(H, args.output)
-    _write_manifest(args.output, args, alpha=",".join(f"{a:.17g}" for a in args.alpha.alpha),
-                    wall_time=wall, output_nnz=H.m)
+    _write_manifest(args.output, args, **keys, wall_time=wall, output_nnz=H.m)
     return EXIT_OK
 
 
-def _run_sparsify_monomial(args):
-    G = load_graph(args.input, fmt=args.format)
-    H, wall = _timed(sparsify_monomial, G, args.degree, _cfg(args), RngStream(args.seed))
-    save_graph(H, args.output)
-    _write_manifest(args.output, args, degree=args.degree, wall_time=wall, output_nnz=H.m)
-    return EXIT_OK
-
-
-def _run_high_degree(args):
-    G = load_graph(args.input, fmt=args.format)
-    H, wall = _timed(sparsify_high_degree, G, args.degree, args.eps, _cfg(args), RngStream(args.seed))
-    save_graph(H, args.output)
-    _write_manifest(args.output, args, degree=args.degree, wall_time=wall, output_nnz=H.m)
-    return EXIT_OK
-
-
-def _run_sparsify_sddm(args):
+def _run_sddm(args, coeffs, **keys):
+    """sparsify_sddm of the input matrix under coeffs; keys precede wall_time in the manifest."""
     M = load_sddm(args.input)
-    res, wall = _timed(sparsify_sddm, M, args.alpha, _cfg(args), RngStream(args.seed))
+    res, wall = _timed(sparsify_sddm, M, coeffs, _cfg(args), RngStream(args.seed))
     save_sddm(res, args.output)
-    _write_manifest(args.output, args, alpha=",".join(f"{a:.17g}" for a in args.alpha.alpha),
-                    wall_time=wall, output_nnz=res.offdiag.m)
+    _write_manifest(args.output, args, **keys, wall_time=wall, output_nnz=res.offdiag.m)
     return EXIT_OK
 
 
@@ -193,24 +182,12 @@ def _run_inv_sqrt(args):
     return EXIT_OK
 
 
-def _run_qth_root(args):
-    M = load_sddm(args.input)
-    alpha = qth_root_coefficients(args.q)
-    res, wall = _timed(sparsify_sddm, M, alpha, _cfg(args), RngStream(args.seed))
-    save_sddm(res, args.output)
-    _write_manifest(args.output, args, q=args.q,
-                    middle_alpha=",".join(f"{a:.17g}" for a in alpha.alpha),
-                    wall_time=wall, output_nnz=res.offdiag.m)
-    return EXIT_OK
-
-
 def _run_resistance(args):
     G = load_graph(args.input, fmt=args.format)
     cfg = _cfg(args)
     oracle = er_oracle_build(G, args.alpha, args.eps, RngStream(args.seed),
                              delta=args.delta, cfg=cfg)
-    stream = open(args.queries) if args.queries else sys.stdin
-    try:
+    with open(args.queries) if args.queries else nullcontext(sys.stdin) as stream:
         for line in stream:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -221,9 +198,6 @@ def _run_resistance(args):
                 raise ValidationError(
                     f"query line must be 'u v' with integer ids, got {line!r}") from None
             print(f"{oracle.query(u, v):.12g}")
-    finally:
-        if args.queries:
-            stream.close()
     return EXIT_OK
 
 
@@ -248,12 +222,12 @@ def _run_enumerate(args):
 
 
 _RUNNERS = {
-    "sparsify-poly": _run_sparsify_poly,
-    "sparsify-monomial": _run_sparsify_monomial,
-    "high-degree": _run_high_degree,
-    "sparsify-sddm": _run_sparsify_sddm,
+    "sparsify-poly": lambda a: _run_graph(a, sparsify_poly, a.alpha, alpha=_coeffs(a.alpha)),
+    "sparsify-monomial": lambda a: _run_graph(a, sparsify_monomial, a.degree, degree=a.degree),
+    "high-degree": lambda a: _run_graph(a, sparsify_high_degree, a.degree, a.eps, degree=a.degree),
+    "sparsify-sddm": lambda a: _run_sddm(a, a.alpha, alpha=_coeffs(a.alpha)),
     "inv-sqrt": _run_inv_sqrt,
-    "qth-root": _run_qth_root,
+    "qth-root": lambda a: _run_sddm(a, c := qth_root_coefficients(a.q), q=a.q, middle_alpha=_coeffs(c)),
     "resistance": _run_resistance,
     "verify": _run_verify,
     "enumerate": _run_enumerate,

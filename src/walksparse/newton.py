@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 from .errors import ConvergenceError, ValidationError
 from .graph import DENSE_THRESHOLD, PolyCoeffs, SddmMatrix, WeightedGraph
 from .resistance import _one_blas_thread
-from .sampling import RngStream
+from .sampling import RngStream, _check_stream
 from .sddm import sparsify_sddm
 from .sparsify import SparsifyConfig
 
@@ -173,6 +173,7 @@ def inv_sqrt_chain(
     """
     if rng is None:
         rng = RngStream(0)
+    _check_stream(rng)
     if not (0 < eps_total < math.inf):
         raise ValidationError(f"eps_total must be positive and finite, got {eps_total!r}")
     threshold = min(RHO_THRESHOLD, eps_total / 2)

@@ -71,15 +71,16 @@ def _grounded_solve(G: WeightedGraph, rhs):
     diag = red.diagonal()
     precond = spla.LinearOperator(red.shape, matvec=lambda y: y / diag)
     out = np.zeros((rhs.shape[0], G.n))
-    for i, row in enumerate(rhs):
-        b = row[keep]
-        x, info = spla.cg(red, b, rtol=CG_RTOL, atol=0.0, maxiter=20 * G.n, M=precond)
-        if info != 0:
-            res = float(np.linalg.norm(red @ x - b) / max(np.linalg.norm(b), 1e-300))
-            raise ConvergenceError(
-                f"conjugate gradient failed on sketch column {i} (info={info})", residual=res
-            )
-        out[i, keep] = x
+    with _one_blas_thread():  # CG's dot products round differently at other thread counts
+        for i, row in enumerate(rhs):
+            b = row[keep]
+            x, info = spla.cg(red, b, rtol=CG_RTOL, atol=0.0, maxiter=20 * G.n, M=precond)
+            if info != 0:
+                res = float(np.linalg.norm(red @ x - b) / max(np.linalg.norm(b), 1e-300))
+                raise ConvergenceError(
+                    f"conjugate gradient failed on sketch column {i} (info={info})", residual=res
+                )
+            out[i, keep] = x
     return out
 
 
@@ -242,10 +243,10 @@ def resparsify(H: WeightedGraph, eps, cfg: SparsifyConfig, rng) -> WeightedGraph
     budget = stage_two_edge_budget(H.n, eps, cfg)
     if H.m <= budget:
         return H
-    tau = H.edge_w * estimate_er(H, rng=rng)
+    gen = _as_generator(rng)  # one generator: the samples follow the sketch's signs, never reuse them
+    tau = H.edge_w * estimate_er(H, rng=gen)
     tau_total = float(tau.sum())
     M = int(math.ceil(cfg.oversample * math.log(max(H.n, 2)) / eps**2 * tau_total))
-    gen = _as_generator(rng)
     counts = gen.multinomial(M, tau / tau_total)
     keep = counts > 0
     new_w = H.edge_w[keep] * (tau_total / (M * tau[keep])) * counts[keep]

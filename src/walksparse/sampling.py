@@ -58,6 +58,12 @@ def _as_generator(rng):
     raise ValidationError(f"rng must be an RngStream or a numpy Generator, got {rng!r}")
 
 
+def _check_stream(rng):
+    """Refuse any rng but an RngStream where it is split into one stream per stage."""
+    if not isinstance(rng, RngStream):
+        raise ValidationError(f"rng must be an RngStream, which splits into one stream per stage, got {rng!r}")
+
+
 class _RowTable:
     """Guide tables over the row segments of a CSR weight pattern.
 

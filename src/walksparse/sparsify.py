@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from .errors import ValidationError
 from .graph import PolyCoeffs, WeightedGraph
-from .sampling import PathBatch, SamplerIndex, graph_sampling, sample_paths
+from .sampling import PathBatch, SamplerIndex, _check_stream, graph_sampling, sample_paths
 
 log = logging.getLogger(__name__)
 
@@ -159,6 +159,7 @@ def stage_one(layers, coeffs, alpha, D, eps, cfg: SparsifyConfig, rng) -> Weight
 def two_stage(layers, coeffs, alpha, D, cfg: SparsifyConfig, rng, stream) -> WeightedGraph:
     """stage_one at cfg.eps_stage_one, then, with second_stage, resparsify at
     cfg.eps_stage_two on rng.split(stream)."""
+    _check_stream(rng)
     H = stage_one(layers, coeffs, alpha, D, cfg.eps_stage_one, cfg, rng)
     if cfg.second_stage:
         from .resistance import resparsify  # resistance imports this module

@@ -262,6 +262,27 @@ class TestOutputs:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd, extra, run_fields", [
+        ("sparsify-poly", ["--alpha", "0.3,0.7"], {"alpha": "0.29999999999999999,0.69999999999999996"}),
+        ("sparsify-monomial", ["-r", "3"], {"degree": "3"}),
+        ("high-degree", ["-d", "4"], {"degree": "4"}),
+        ("sparsify-sddm", ["--alpha", "0.3,0.7"], {"alpha": "0.29999999999999999,0.69999999999999996"}),
+        ("qth-root", ["--q", "1"], {"q": "1", "middle_alpha": "0,0.75,0.25"}),
+        ("inv-sqrt", [], {"chain_length": None, "factors": None, "eps_bound": None}),
+    ], ids=["sparsify-poly", "sparsify-monomial", "high-degree", "sparsify-sddm", "qth-root", "inv-sqrt"])
+    def test_manifest_key_order(self, medium_file, sddm_file, tmp_path, cmd, extra, run_fields):
+        # shared fields, then the subcommand's own in a fixed order, then wall_time and output_nnz
+        infile = sddm_file if cmd in ("sparsify-sddm", "qth-root", "inv-sqrt") else medium_file
+        out = tmp_path / "out"
+        assert main([cmd, "-i", infile, "--eps", "0.5", "--seed", "3", "-o", str(out), *extra]) == 0
+        manifest = out / "chain.manifest" if cmd == "inv-sqrt" else tmp_path / "out.manifest"
+        fields = dict(line.split("=", 1) for line in manifest.read_text().splitlines())
+        tail = ["wall_time"] if cmd == "inv-sqrt" else ["wall_time", "output_nnz"]
+        assert list(fields) == ["subcommand", "input", "eps", "seed", "cs", "version", "output", *run_fields, *tail]
+        assert fields["subcommand"] == cmd and fields["output"] == str(out)
+        pinned = {k: v for k, v in run_fields.items() if v is not None}
+        assert {k: fields[k] for k in pinned} == pinned
+
     def test_inv_sqrt_chain_files(self, sddm_file, tmp_path):
         out = str(tmp_path / "chain")
         assert main(["inv-sqrt", "-i", sddm_file, "--eps", "0.4", "--seed", "1",

@@ -123,6 +123,14 @@ class TestEstimateEr:
             estimate_er(er_graph(30, 0.2, 0), rng=RngStream(0))
         assert np.isfinite(err.value.residual) and err.value.residual > 0
 
+    def test_cg_bytes_independent_of_blas_threads(self):
+        # OpenBLAS splits the dot products of vectors this long (10,200 entries) across threads
+        assert_bytes_independent_of_blas_threads(
+            "i = np.arange(101 * 101).reshape(101, 101); gen = np.random.default_rng(0); "
+            "G = WeightedGraph(i.size, np.r_[i[:, :-1].ravel(), i[:-1].ravel()], np.r_[i[:, 1:].ravel(), i[1:].ravel()], "
+            "np.exp(gen.uniform(-1, 1, 2 * 101 * 100))); "
+            "b = gen.standard_normal((2, G.n)); X = r._grounded_solve(G, b - b.mean(axis=1, keepdims=True))")
+
 
 class TestResparsify:
     def test_early_exit_below_budget(self, triangle):
@@ -163,9 +171,18 @@ class TestResparsify:
         with pytest.raises(ValidationError, match="RngStream"):
             resparsify(G, 0.5, cfg, rng)
 
+    @pytest.mark.usefixtures("sketched")
+    def test_one_generator_per_call(self, monkeypatch):
+        # the samples follow the sketch's signs on one generator, so they reuse none of its bits
+        derived, generator = [], RngStream.generator
+        monkeypatch.setattr(RngStream, "generator", lambda self: derived.append(self) or generator(self))
+        G = er_graph(60, 0.4, 4)
+        assert resparsify(G, 0.5, SparsifyConfig(epsilon=0.5, oversample=0.1), RngStream(5, 0)).m < G.m
+        assert derived == [RngStream(5, 0)]
+
     @pytest.mark.parametrize("route, edges, digest", [
         ("dense-exact", 247, "698ab4394907dabb0c36745a13603b316342d6295252b461bb4112df5006e0be"),
-        ("sketch", 321, "e51b5ddc23902dc0102c388ab8bbd02a66400806fdffd516755105fba918ead3"),
+        ("sketch", 313, "87a898fa8218d31a656d80bc673ec2db6f48a0e991fd93222e904b4873676a34"),
     ])
     def test_disconnected_stage_two_pinned(self, route, edges, digest, request):
         # two weighted components and an isolated vertex are sampled in one pass; each
@@ -367,18 +384,24 @@ class TestGroundedInverse:
 
     def test_bytes_independent_of_blas_threads(self):
         # dpotrf and dpotri round differently at 1 and 2 OpenBLAS threads unless pinned
-        if not resistance._BLAS_THREADS:
-            pytest.skip("numpy and scipy bundle no OpenBLAS whose thread count can be set")
-        code = ("import hashlib; from conftest import er_graph; from walksparse import resistance as r; "
-                "counts = lambda: ','.join(str(get()) for get, _ in r._BLAS_THREADS); before = counts(); "
-                "X = r._grounded_inverse(er_graph(200, 0.2, 1, weighted=True))[0]; "
-                "print(hashlib.sha256(X.tobytes()).hexdigest(), before, counts())")
-        path = os.pathsep.join([os.path.dirname(os.path.dirname(resistance.__file__)), os.path.dirname(__file__)])
-        out = {}
-        for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-            run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-            digest, before, after = run.stdout.split()
-            assert before == after  # the count is restored
-            out[threads] = digest
-        assert out["1"] == out["2"]
+        assert_bytes_independent_of_blas_threads("X = r._grounded_inverse(er_graph(200, 0.2, 1, weighted=True))[0]")
+
+
+def assert_bytes_independent_of_blas_threads(code):
+    """Run code, which sets X, at 1 and 2 OpenBLAS threads in subprocesses: X's
+    bytes must agree, and each library's thread count be restored after."""
+    if not resistance._BLAS_THREADS:
+        pytest.skip("numpy and scipy bundle no OpenBLAS whose thread count can be set")
+    code = ("import hashlib; import numpy as np; from conftest import er_graph; from walksparse import WeightedGraph; "
+            "from walksparse import resistance as r; "
+            "counts = lambda: ','.join(str(get()) for get, _ in r._BLAS_THREADS); before = counts(); "
+            f"{code}; print(hashlib.sha256(X.tobytes()).hexdigest(), before, counts())")
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(resistance.__file__)), os.path.dirname(__file__)])
+    out = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        digest, before, after = run.stdout.split()
+        assert before == after  # the count is restored
+        out[threads] = digest
+    assert out["1"] == out["2"]

@@ -17,10 +17,14 @@ from walksparse import (
     WeightedGraph,
     dense_monomial,
     dense_poly,
+    er_oracle_build,
+    inv_sqrt_chain,
     save_graph,
     similarity_check,
+    sparsify_high_degree,
     sparsify_monomial,
     sparsify_poly,
+    sparsify_sddm,
 )
 from walksparse import sparsify
 from walksparse.sampling import SamplerIndex
@@ -399,3 +403,20 @@ class TestWholeGraphStageOne:
         assert "stage 1 exact" in caplog.text
         L = dense_poly(G, alpha)
         np.testing.assert_allclose(H.adjacency_dense(), np.diag(np.diag(L)) - L, rtol=1e-9, atol=0)
+
+
+_G, _M, _CFG = er_graph(20, 0.3, 0), random_sddm(12, 0.4, 1), SparsifyConfig(epsilon=0.5)
+
+
+@pytest.mark.parametrize("run", [
+    lambda rng: sparsify_poly(_G, PolyCoeffs.parse("0.5,0.5"), _CFG, rng),
+    lambda rng: sparsify_monomial(_G, 2, _CFG, rng),
+    lambda rng: sparsify_high_degree(_G, 4, 0.5, _CFG, rng),
+    lambda rng: sparsify_sddm(_M, PolyCoeffs.parse("0.5,0.5"), _CFG, rng),
+    lambda rng: inv_sqrt_chain(_M, 0.5, cfg=_CFG, rng=rng),
+    lambda rng: er_oracle_build(_G, PolyCoeffs.parse("1"), 0.5, rng, cfg=_CFG),
+], ids=["poly", "monomial", "high-degree", "sddm", "inv-sqrt", "er-oracle"])
+def test_generator_refused_at_every_entry_point(run):
+    # each entry point splits its rng into one stream per stage, which a Generator cannot do
+    with pytest.raises(ValidationError, match="RngStream"):
+        run(np.random.default_rng(0))
