@@ -23,7 +23,6 @@ from .errors import GraphFormatError, ValidationError
 
 log = logging.getLogger(__name__)
 
-DEGREE_RTOL = 1e-12
 # SddmMatrix's slack tolerance, relative to max(diag, 1)
 SLACK_RTOL = 1e-12
 # Largest n handled by the dense oracle. Effective resistances are exact up
@@ -131,17 +130,6 @@ class WeightedGraph:
 
     def is_connected(self):
         return self.n <= 1 or self.components[0] == 1
-
-    def check_invariants(self):
-        deg = np.zeros(self.n)
-        np.add.at(deg, self.edge_u, self.edge_w)
-        np.add.at(deg, self.edge_v, self.edge_w)
-        scale = np.maximum(np.abs(self.degree), 1.0)
-        if np.any(np.abs(deg - self.degree) > DEGREE_RTOL * scale):
-            raise ValidationError("degree vector inconsistent with incident weights")
-        diff = self.adjacency - self.adjacency.T
-        if diff.nnz and np.max(np.abs(diff.data)) != 0:
-            raise ValidationError("adjacency not symmetric")
 
     def __eq__(self, other):
         return (

@@ -3,11 +3,12 @@ operation scheduling, and the high-degree driver.
 
 Starting from a degree-2 sparsifier D - A~, SQUARE doubles the walk degree
 via the length-2 paths of D - A~ D^-1 A~, and PLUS adds 4 via the length-5
-pattern (A A A~ A A). Each step is one sparsify.two_stage over its
-layers: stage one forms the product exactly when the sparse-product chain
-costs at most the walks it would draw, otherwise it draws walks of the whole
-pattern, whose coefficients shape the sampling masses alone. Per-step error
-budgets follow the eps/(2k) composition rule with a final
+pattern (A A A~ A A). Both steps run one _compose: a sparsify.two_stage
+over the step's layers (stage one forms the product exactly when the
+sparse-product chain costs at most the walks it would draw, otherwise it
+draws walks of the whole pattern, whose coefficients shape the sampling
+masses alone), the step's eps charged to the ledger, then the degree clamp.
+Per-step error budgets follow the eps/(2k) composition rule with a final
 re-sparsification at eps/2.
 """
 
@@ -25,7 +26,6 @@ import scipy.sparse as sp
 from . import sparsify
 from .errors import ValidationError
 from .graph import WeightedGraph
-from .sampling import RngStream
 from .sampling import build_template, graph_sampling, sample_template_paths  # noqa: F401 (bench/tracing.py wraps these names here)
 from .sparsify import SparsifyConfig, sparsify_monomial
 
@@ -44,10 +44,6 @@ class DegreeSchedule:
     direct: bool = False
     substituted: bool = False
     eps_effective: float = None
-
-    @property
-    def k(self):
-        return len(self.ops)
 
     def replay(self):
         deg = 2
@@ -111,9 +107,7 @@ def _clamp_degree_excess(approx: MonomialApprox) -> MonomialApprox:
     """Uniformly rescale A~ so its degrees never exceed the base D."""
     s = approx.graph.degree
     D = approx.base_degree
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(s > 0, D / np.where(s > 0, s, 1.0), np.inf)
-    gamma = min(1.0, float(ratios.min()))
+    gamma = min(1.0, float(np.min(D[s > 0] / s[s > 0], initial=np.inf)))
     if gamma >= 1.0:
         return approx
     G = approx.graph
@@ -135,16 +129,19 @@ def _full_layer(approx: MonomialApprox):
     return (G.adjacency + sp.diags(loops)).tocsr()
 
 
-def square_step(cur: MonomialApprox, eps, cfg: SparsifyConfig, rng) -> MonomialApprox:
-    """Degree 2r -> 4r by sampling length-2 paths of D - A~ D^-1 A~."""
+def _compose(cur: MonomialApprox, layers, coeffs, degree, eps, cfg: SparsifyConfig, rng) -> MonomialApprox:
+    """The degree-`degree` approximation: two_stage at eps over the walks
+    through every layer, its eps charged to the ledger, then clamped."""
     D = cur.base_degree
+    H = sparsify.two_stage(layers, coeffs, np.eye(len(layers))[-1], D, replace(cfg, epsilon=eps), rng, 3)
+    return _clamp_degree_excess(MonomialApprox(degree, H, D, cur.accumulated_eps + eps))
+
+
+def square_step(cur: MonomialApprox, eps, cfg: SparsifyConfig, rng) -> MonomialApprox:
+    """Degree 2r -> 4r by sampling length-2 paths of D - A~ D^-1 A~, at
+    coefficient 1: the rows of the clamped input's full layer sum to D."""
     At = _full_layer(cur)
-    s = np.asarray(At.sum(axis=1)).ravel()
-    live = s > 0
-    kappa = max(1.0, float(np.max(D[live] / s[live])))
-    H = sparsify.two_stage([At, At], [kappa, kappa], np.eye(2)[-1], D, replace(cfg, epsilon=eps), rng, 3)
-    out = MonomialApprox(2 * cur.degree, H, D, cur.accumulated_eps + eps)
-    return _clamp_degree_excess(out)
+    return _compose(cur, [At, At], [1.0, 1.0], 2 * cur.degree, eps, cfg, rng)
 
 
 def plus_step(cur: MonomialApprox, base: WeightedGraph, eps, cfg: SparsifyConfig, rng) -> MonomialApprox:
@@ -153,38 +150,25 @@ def plus_step(cur: MonomialApprox, base: WeightedGraph, eps, cfg: SparsifyConfig
     The per-position resistance coefficients carry the accumulated error of
     the middle layer: exp(e) on base steps, exp(2e) on the middle.
     """
-    D = cur.base_degree
-    At = _full_layer(cur)
     h = math.exp(cur.accumulated_eps)
-    coeffs = [h, h, h * h, h, h]
     A = base.adjacency
-    H = sparsify.two_stage([A, A, At, A, A], coeffs, np.eye(5)[-1], D, replace(cfg, epsilon=eps), rng, 3)
-    out = MonomialApprox(cur.degree + 4, H, D, cur.accumulated_eps + eps)
-    return _clamp_degree_excess(out)
+    return _compose(cur, [A, A, _full_layer(cur), A, A], [h, h, h * h, h, h], cur.degree + 4, eps, cfg, rng)
 
 
-def sparsify_high_degree(G: WeightedGraph, d, eps, cfg: SparsifyConfig = None, rng=None) -> WeightedGraph:
+def sparsify_high_degree(G: WeightedGraph, d, eps, cfg: SparsifyConfig, rng) -> WeightedGraph:
     """Sparsifier of the d-step walk Laplacian for even d, of any G: walks
     never leave a component, nor, on a bipartite one, even walks a side."""
-    if rng is None:
-        rng = RngStream(0)
-    if cfg is None:
-        cfg = SparsifyConfig(epsilon=min(eps, 1.0))
     sch = schedule(d, eps)
     if sch.direct:
         return sparsify_monomial(G, d, replace(cfg, epsilon=eps), rng)
 
     eps_eff = sch.eps_effective
-    k = sch.k
-    eps_step = eps_eff / (2 * (k + 1))
+    eps_step = eps_eff / (2 * (len(sch.ops) + 1))
     H2 = sparsify_monomial(G, 2, replace(cfg, epsilon=eps_step), rng)
     cur = _clamp_degree_excess(MonomialApprox(2, H2, G.degree.copy(), eps_step))
     for i, op in enumerate(sch.ops):
         sub = rng.split(10 + i)
-        if op == SQUARE:
-            cur = square_step(cur, eps_step, cfg, sub)
-        else:
-            cur = plus_step(cur, G, eps_step, cfg, sub)
+        cur = square_step(cur, eps_step, cfg, sub) if op == SQUARE else plus_step(cur, G, eps_step, cfg, sub)
     if cur.degree != sch.target:
         raise AssertionError("schedule replay mismatch")
 

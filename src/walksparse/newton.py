@@ -7,11 +7,11 @@ D^-1 A falls below a threshold yields C = F_0 ... F_{K-1} D_K^{-1/2} with
 C C^T close to M^-1. Each step's cubic goes through sparsify_sddm, whose
 stage one forms it exactly whenever the chain of products costs at most the
 walks. The walk ratio rho is exact to rounding at n <= DENSE_THRESHOLD and an
-upper bound above it (a Lanczos residual bound, or where Lanczos does not
-converge a Collatz-Wielandt bound that stays below 1 on every positive
-definite input): the stop test rho < threshold and the eps_bound += rho
-charge for the terminal truncation both need a value that does not read
-low. qth_root_coefficients expands the q-th-root analogue
+upper bound above it (a Collatz-Wielandt bound, from the Lanczos vector or,
+where that bound is not below 1, from inverse iteration, which stays below 1
+on every positive definite input): the stop test rho < threshold and the
+eps_bound += rho charge for the terminal truncation both need a value that
+does not read low. qth_root_coefficients expands the q-th-root analogue
 (I + X/2q)^{2q} (I - X) into coefficient form by binomial convolution.
 """
 
@@ -105,13 +105,13 @@ def spectral_radius(M: SddmMatrix):
 
     At n <= DENSE_THRESHOLD it is exact to rounding (one dense eigvalsh of
     X, at one OpenBLAS thread so that its bits do not vary). Above it, it is
-    theta + ||X v - theta v|| for the Ritz pair (theta, v) of at most
-    LANCZOS_RESTARTS restarts of Lanczos from sqrt(diag). That bounds the
-    eigenvalue nearest theta, so it bounds rho when Lanczos converged to the
-    top eigenvalue; the positive start vector overlaps the Perron vector,
-    which makes this the expected case, but nothing proves it. Where Lanczos
-    does not converge (the top of the spectrum is clustered),
-    _inverse_iteration_bound answers.
+    the Collatz-Wielandt bound max_i (A y)_i / (diag_i y_i) at
+    y = |v| diag^-1/2, for the Ritz vector v of at most LANCZOS_RESTARTS
+    restarts of Lanczos from sqrt(diag). The bound holds for every y > 0,
+    whichever eigenpair ARPACK returns, and reads rho to rounding when v is
+    the Perron vector. Where Lanczos does not converge (the top of the
+    spectrum is clustered), y has a zero entry (v vanishes off its own
+    component) or the bound is not below 1, _inverse_iteration_bound answers.
     """
     if M.offdiag.m == 0:
         return 0.0
@@ -123,11 +123,12 @@ def spectral_radius(M: SddmMatrix):
     X = sp.diags(isq) @ M.offdiag.adjacency @ sp.diags(isq)
     try:
         # a start vector fixed by M keeps replay exact; ARPACK's own is random
-        theta, v = spla.eigsh(X, k=1, which="LA", v0=np.sqrt(M.diag), maxiter=LANCZOS_RESTARTS)
+        _, v = spla.eigsh(X, k=1, which="LA", v0=np.sqrt(M.diag), maxiter=LANCZOS_RESTARTS)
     except spla.ArpackNoConvergence:
         return _inverse_iteration_bound(M)
-    v = v[:, 0] / np.linalg.norm(v)
-    return float(theta[0] + np.linalg.norm(X @ v - theta[0] * v))
+    y = np.abs(v[:, 0]) * isq
+    rho = float(np.max(M.offdiag.adjacency @ y / (M.diag * y))) if np.all(y > 0) else 1.0
+    return rho if rho < 1 else _inverse_iteration_bound(M)
 
 
 def _inverse_iteration_bound(M: SddmMatrix):

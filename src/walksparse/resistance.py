@@ -31,7 +31,7 @@ from scipy.linalg import lapack
 from .errors import ConvergenceError, InputRefusedError, ValidationError
 from .graph import DENSE_THRESHOLD, PolyCoeffs, WeightedGraph
 from .sampling import RngStream, _as_generator
-from .sparsify import SparsifyConfig, sparsify_poly, stage_two_edge_budget
+from .sparsify import SparsifyConfig, _sample_count, sparsify_poly, stage_two_edge_budget
 
 
 # sign entries drawn per row block of the sketch (8 MB as int64)
@@ -246,7 +246,7 @@ def resparsify(H: WeightedGraph, eps, cfg: SparsifyConfig, rng) -> WeightedGraph
     gen = _as_generator(rng)  # one generator: the samples follow the sketch's signs, never reuse them
     tau = H.edge_w * estimate_er(H, rng=gen)
     tau_total = float(tau.sum())
-    M = int(math.ceil(cfg.oversample * math.log(max(H.n, 2)) / eps**2 * tau_total))
+    M = _sample_count(H.n, eps, tau_total, cfg)
     counts = gen.multinomial(M, tau / tau_total)
     keep = counts > 0
     new_w = H.edge_w[keep] * (tau_total / (M * tau[keep])) * counts[keep]

@@ -70,6 +70,11 @@ def _log_n(n):
     return max(math.log(n), math.log(2))
 
 
+def _sample_count(n, eps, tau, cfg: SparsifyConfig):
+    """M = ceil(c_s ln n / eps^2 * tau): the samples of either stage, of total mass tau."""
+    return int(math.ceil(cfg.oversample * _log_n(n) / eps**2 * tau))
+
+
 def stage_two_edge_budget(n, eps, cfg: SparsifyConfig):
     return int(math.ceil(cfg.oversample * n * _log_n(n) / eps**2))
 
@@ -138,7 +143,7 @@ def stage_one(layers, coeffs, alpha, D, eps, cfg: SparsifyConfig, rng) -> Weight
     prefixes = [j for j, a in enumerate(alpha, start=1) if a > 0]
     mass = [alpha[j - 1] * t for j, t in zip(prefixes, idx.masses(prefixes))]
     tau = sum(mass)
-    M = int(math.ceil(cfg.oversample * _log_n(n) / eps**2 * tau))
+    M = _sample_count(n, eps, tau, cfg)
     H = exact_walk_graph(layers, D, M, alpha)
     if H is not None:
         return H

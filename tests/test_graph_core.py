@@ -42,7 +42,6 @@ class TestWeightedGraph:
 
     def test_degree_matches_incident_sum(self):
         G = er_graph(25, 0.3, 1, weighted=True)
-        G.check_invariants()
         for u in range(G.n):
             inc = sum(w for a, b, w in zip(G.edge_u, G.edge_v, G.edge_w) if u in (a, b))
             assert G.degree[u] == pytest.approx(inc, rel=1e-12)
@@ -96,7 +95,6 @@ class TestWeightedGraph:
                          (A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data), (G.degree, ref.degree)]:
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
             assert A.has_sorted_indices
-            G.check_invariants()
 
     def test_adjacency_matches_coo_build(self):
         G = er_graph(50, 0.2, 8, weighted=True)

@@ -22,6 +22,7 @@ from walksparse.highdegree import (
     SQUARE,
     MonomialApprox,
     _clamp_degree_excess,
+    _full_layer,
     plus_step,
     shortest_program,
     square_step,
@@ -143,6 +144,16 @@ class TestSteps:
         approx = MonomialApprox(2, G, np.full(6, 5.0), 0.1)
         assert _clamp_degree_excess(approx) is approx
 
+    @pytest.mark.parametrize("scale", [1.0, 0.8], ids=["unclamped", "clamped"])
+    def test_full_layer_rows_sum_to_base_degree(self, scale):
+        # why square_step's coefficients are 1: after the clamp, the loop mass
+        # D - deg brings every row of the full layer back to D
+        cur = MonomialApprox(2, self.cur.graph, scale * self.D, 0.0)
+        out = _clamp_degree_excess(cur)
+        assert (out is cur) == (scale == 1.0)
+        s = np.asarray(_full_layer(out).sum(axis=1)).ravel()
+        assert np.all(np.abs(s - out.base_degree) <= 4 * np.spacing(out.base_degree))
+
 
 class TestDriver:
     @pytest.mark.usefixtures("sampled")
@@ -188,7 +199,7 @@ class TestDriver:
         cfg = SparsifyConfig(epsilon=0.75, oversample=0.3)
         save_graph(sparsify_high_degree(G, 12, 0.75, cfg, RngStream(3)), tmp_path / "h.mtx")
         digest = hashlib.sha256((tmp_path / "h.mtx").read_bytes()).hexdigest()
-        assert digest == "a626f7514e74725b7c58d54c1dd98e7b2cbe802c805389da15f7b90fc6cc11d5"
+        assert digest == "490dec89f7336cff54723bf9e222deb95f9ef547dca045a95053dda4cc5ba3e5"
 
     def test_bipartite_refused(self):
         # taken whole: even walks on the bipartite ring keep its two sides apart

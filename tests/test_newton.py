@@ -330,6 +330,24 @@ class TestSpectralRadius:
         with pytest.raises(ConvergenceError):
             inv_sqrt_chain(M, 0.4, max_iters=1)
 
+    def test_second_eigenpair_never_reads_low(self, monkeypatch):
+        # the bound holds whichever eigenpair ARPACK returns; a Ritz residual
+        # bound on this second pair reads 0.552 against rho = 0.99915
+        real, thetas = spla.eigsh, []
+
+        def second(X, k=1, **kwargs):
+            vals, vecs = real(X, k=2, **kwargs)
+            thetas.append(vals[0])  # ascending: the second largest first
+            return vals[:1], vecs[:, :1]
+
+        monkeypatch.setattr(spla, "eigsh", second)
+        M = random_sddm(600, 0.02, 1, slack=0.01)
+        assert M.n > DENSE_THRESHOLD
+        truth = _dense_radius(M)
+        rho = spectral_radius(M)
+        assert len(thetas) == 1 and thetas[0] < truth * (1 - 1e-3)
+        assert truth * (1 - 1e-15) <= rho < 1
+
     @pytest.mark.parametrize(
         "M",
         [
