@@ -128,9 +128,6 @@ class WeightedGraph:
     def laplacian_dense(self):
         return np.diag(self.degree) - self.adjacency.toarray()
 
-    def is_connected(self):
-        return self.n <= 1 or self.components[0] == 1
-
     def __eq__(self, other):
         return (
             isinstance(other, WeightedGraph)

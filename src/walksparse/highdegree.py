@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from . import sparsify
 from .errors import ValidationError
 from .graph import WeightedGraph
-from .sampling import build_template, graph_sampling, sample_template_paths  # noqa: F401 (bench/tracing.py wraps these names here)
+from .sampling import _check_stream, build_template, graph_sampling, sample_template_paths  # noqa: F401 (bench/tracing.py wraps the last three here)
 from .sparsify import SparsifyConfig, sparsify_monomial
 
 log = logging.getLogger(__name__)
@@ -44,12 +44,6 @@ class DegreeSchedule:
     direct: bool = False
     substituted: bool = False
     eps_effective: float = None
-
-    def replay(self):
-        deg = 2
-        for op in self.ops:
-            deg = 2 * deg if op == SQUARE else deg + 4
-        return deg
 
 
 def shortest_program(target):
@@ -133,7 +127,7 @@ def _compose(cur: MonomialApprox, layers, coeffs, degree, eps, cfg: SparsifyConf
     """The degree-`degree` approximation: two_stage at eps over the walks
     through every layer, its eps charged to the ledger, then clamped."""
     D = cur.base_degree
-    H = sparsify.two_stage(layers, coeffs, np.eye(len(layers))[-1], D, replace(cfg, epsilon=eps), rng, 3)
+    H = sparsify.two_stage(layers, coeffs, np.eye(len(layers))[-1], D, replace(cfg, epsilon=eps), rng)
     return _clamp_degree_excess(MonomialApprox(degree, H, D, cur.accumulated_eps + eps))
 
 
@@ -157,21 +151,23 @@ def plus_step(cur: MonomialApprox, base: WeightedGraph, eps, cfg: SparsifyConfig
 
 def sparsify_high_degree(G: WeightedGraph, d, eps, cfg: SparsifyConfig, rng) -> WeightedGraph:
     """Sparsifier of the d-step walk Laplacian for even d, of any G: walks
-    never leave a component, nor, on a bipartite one, even walks a side."""
+    never leave a component, nor, on a bipartite one, even walks a side. rng's
+    child 0 draws degree 2, child i the i-th step, the next the resparsify."""
+    _check_stream(rng)
     sch = schedule(d, eps)
     if sch.direct:
         return sparsify_monomial(G, d, replace(cfg, epsilon=eps), rng)
 
     eps_eff = sch.eps_effective
     eps_step = eps_eff / (2 * (len(sch.ops) + 1))
-    H2 = sparsify_monomial(G, 2, replace(cfg, epsilon=eps_step), rng)
+    H2 = sparsify_monomial(G, 2, replace(cfg, epsilon=eps_step), rng.split(0))
     cur = _clamp_degree_excess(MonomialApprox(2, H2, G.degree.copy(), eps_step))
-    for i, op in enumerate(sch.ops):
-        sub = rng.split(10 + i)
+    for i, op in enumerate(sch.ops, 1):
+        sub = rng.split(i)
         cur = square_step(cur, eps_step, cfg, sub) if op == SQUARE else plus_step(cur, G, eps_step, cfg, sub)
     if cur.degree != sch.target:
         raise AssertionError("schedule replay mismatch")
 
     from .resistance import resparsify
 
-    return resparsify(cur.graph, eps_eff / 2, cfg, rng.split(99))
+    return resparsify(cur.graph, eps_eff / 2, cfg, rng.split(len(sch.ops) + 1))

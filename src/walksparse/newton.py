@@ -163,17 +163,15 @@ def inv_sqrt_chain(
     eps_total,
     max_iters=40,
     cfg: SparsifyConfig = None,
-    rng=None,
+    rng: RngStream = RngStream(0),
 ) -> FactorChain:
     """Build C with C C^T close to M^-1 within the requested budget.
 
     Iterates cubic reduction steps until the walk ratio rho(D^-1 A) drops
     below min(0.1, eps_total/2), then terminates with the diagonal. Half of
     eps_total pays for the terminal truncation, half is split evenly across
-    the sparsified steps.
+    the sparsified steps. Step k draws from rng.split(k).
     """
-    if rng is None:
-        rng = RngStream(0)
     _check_stream(rng)
     if not (0 < eps_total < math.inf):
         raise ValidationError(f"eps_total must be positive and finite, got {eps_total!r}")
@@ -201,7 +199,7 @@ def inv_sqrt_chain(
             chain.terminal_diag = cur.diag.copy()
             chain.eps_bound = min(1.0, len(chain.factors) * eps_step + rho)
             return chain
-        factor, cur = newton_sqrt_step(cur, eps_step, cfg, rng.split(300 + k))
+        factor, cur = newton_sqrt_step(cur, eps_step, cfg, rng.split(k))
         chain.factors.append(factor)
     raise ConvergenceError(
         f"inverse-sqrt chain did not reach walk ratio {threshold:.3g} in {max_iters} steps",

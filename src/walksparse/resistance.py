@@ -30,7 +30,7 @@ from scipy.linalg import lapack
 
 from .errors import ConvergenceError, InputRefusedError, ValidationError
 from .graph import DENSE_THRESHOLD, PolyCoeffs, WeightedGraph
-from .sampling import RngStream, _as_generator
+from .sampling import RngStream, _as_generator, _check_stream
 from .sparsify import SparsifyConfig, _sample_count, sparsify_poly, stage_two_edge_budget
 
 
@@ -198,7 +198,7 @@ class ErOracle:
         if self.method == "dense-exact":
             self._state, at = _grounded_inverse(H)  # upper triangle filled
         else:
-            self._state = _sketch_potentials(H, delta, rng if rng is not None else RngStream(0, 0))
+            self._state = _sketch_potentials(H, delta, rng if rng is not None else RngStream(0))
             at = np.arange(H.n)
         # a query reads Python lists: numpy scalar lookups cost more than its arithmetic
         self._at, self._rows, self._label = at, at.tolist(), H.components[1].tolist()
@@ -261,7 +261,8 @@ def er_oracle_build(
     delta=0.2,
     cfg: SparsifyConfig = None,
 ) -> ErOracle:
-    """Sparsify L_alpha(G) at eps, then build the ErOracle of the sparsifier.
+    """Sparsify L_alpha(G) at eps on rng.split(0), then build the ErOracle of
+    the sparsifier on rng.split(1).
 
     cfg, if given, supplies every knob but epsilon. The oracle's sketch, if
     any, is built at delta / 2, so queries satisfy R~ / R within
@@ -272,8 +273,9 @@ def er_oracle_build(
     is refused, since it would answer inf within one of them.
     """
     _check_delta(delta)  # before the sparsifier is built, not after
+    _check_stream(rng)
     cfg = SparsifyConfig(epsilon=eps) if cfg is None else replace(cfg, epsilon=eps)
-    H = sparsify_poly(G, alpha, cfg, rng)
+    H = sparsify_poly(G, alpha, cfg, rng.split(0))
     ncomp, want = H.components[0], G.components[0]
     if not np.any(alpha.alpha[::2] > 0):
         # even walks link u and v iff the bipartite double cover links u and v + n;
@@ -289,4 +291,4 @@ def er_oracle_build(
             f"L_alpha(G)'s {want}, {isolated} isolated vertices that have edges in G), so it answers "
             "inf within a component of L_alpha(G); a larger oversample constant keeps more edges"
         )
-    return ErOracle(H, delta / 2, rng.split(77))
+    return ErOracle(H, delta / 2, rng.split(1))

@@ -1,4 +1,4 @@
-"""Weighted discrete sampling infrastructure and the walk sampler.
+"""Seeded RNG streams, weighted discrete sampling and the walk sampler.
 
 A walk template is an ordered list of edge layers with per-position
 resistance coefficients under a shared degree normalization D (e.g. the
@@ -36,18 +36,26 @@ _CHUNK = 1 << 19
 _GUIDE_SLACK = 1.0 + 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RngStream:
-    """Reproducible RNG handle: identical (seed, stream) gives identical draws."""
+    """Reproducible RNG handle: identical (seed, *path) gives identical draws.
+
+    path is numpy's spawn key, so child k, split(k), shares no numbers with any
+    other stream. A function draws from its stream, passes it whole to one
+    callee, or splits it into children that only it hands out."""
 
     seed: int
-    stream: int = 0
+    path: tuple
+
+    def __init__(self, seed, *path):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "path", path)
 
     def generator(self):
-        return np.random.default_rng(np.random.SeedSequence((self.seed, self.stream)))
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.path))
 
-    def split(self, stream):
-        return RngStream(self.seed, stream)
+    def split(self, k):
+        return RngStream(self.seed, *self.path, k)
 
 
 def _as_generator(rng):
@@ -142,10 +150,6 @@ class WalkTemplate:
     _back: list = field(repr=False)
     _fwd: list = field(repr=False)
 
-    @property
-    def r(self):
-        return len(self.layers)
-
 
 def build_template(layers, coeffs, D) -> WalkTemplate:
     """The template over all of layers: SamplerIndex(layers, coeffs, D).template(len(layers))."""
@@ -158,7 +162,7 @@ def sample_template_paths(tmpl: WalkTemplate, count, rng, record_vertices=False)
     Each walk carries its endpoints and Z(p) = sum_i coeffs[i] / w_i.
     """
     gen = _as_generator(rng)
-    r = tmpl.r
+    r = len(tmpl.layers)
     u0 = np.empty(count, dtype=np.int64)
     ur = np.empty(count, dtype=np.int64)
     z = np.empty(count)

@@ -14,7 +14,7 @@ def er_graph(n, p, seed, weighted=False):
             A *= 0.5 + gen.random((n, n))
         A = A + A.T
         G = WeightedGraph.from_dense(A)
-        if G.m > 0 and G.is_connected():
+        if G.m > 0 and G.components[0] == 1:
             return G
     raise RuntimeError("could not generate a connected graph")
 

@@ -69,11 +69,11 @@ class TestWeightedGraph:
 
     def test_connectivity_and_bipartiteness(self):
         ring5 = WeightedGraph.from_edges(5, [(i, (i + 1) % 5, 1.0) for i in range(5)])
-        assert ring5.is_connected()
+        assert ring5.components[0] == 1
         two = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        assert not two.is_connected()
-        assert WeightedGraph.from_edges(1, []).is_connected()
-        assert not WeightedGraph.from_edges(2, []).is_connected()
+        assert two.components[0] == 2
+        assert WeightedGraph.from_edges(1, []).components[0] == 1
+        assert WeightedGraph.from_edges(2, []).components[0] == 2
 
     def test_zero_row_sums(self):
         G = er_graph(20, 0.3, 3)

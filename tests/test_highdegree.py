@@ -32,6 +32,14 @@ from walksparse.oracle import generalized_eigenvalues
 from conftest import er_graph, ring_graph
 
 
+def replay(ops):
+    """The degree a program reaches from 2."""
+    deg = 2
+    for op in ops:
+        deg = 2 * deg if op == SQUARE else deg + 4
+    return deg
+
+
 def dense_walk_graph(G, r):
     """Off-diagonal part of the r-step walk matrix as a WeightedGraph."""
     L = dense_monomial(G, r)
@@ -48,7 +56,7 @@ class TestSchedule:
     def test_replay_consistency(self):
         for d in range(4, 400, 4):
             sch = schedule(d)
-            assert sch.replay() == sch.target == d
+            assert replay(sch.ops) == sch.target == d
 
     def test_direct_branch(self):
         sch = schedule(4, eps=1.0)
@@ -60,7 +68,7 @@ class TestSchedule:
         assert sch.substituted
         assert sch.target == 8
         assert sch.eps_effective == 0.25
-        assert sch.replay() == 8
+        assert replay(sch.ops) == 8
 
     def test_substitution_skipped_when_direct(self):
         # d = 6 <= 4/eps at eps = 0.5, so no substitution is needed
@@ -199,7 +207,7 @@ class TestDriver:
         cfg = SparsifyConfig(epsilon=0.75, oversample=0.3)
         save_graph(sparsify_high_degree(G, 12, 0.75, cfg, RngStream(3)), tmp_path / "h.mtx")
         digest = hashlib.sha256((tmp_path / "h.mtx").read_bytes()).hexdigest()
-        assert digest == "490dec89f7336cff54723bf9e222deb95f9ef547dca045a95053dda4cc5ba3e5"
+        assert digest == "33a0f525892111e439b4cab6e36c82d192d6c246efbb26db834a4ec366196b72"
 
     def test_bipartite_refused(self):
         # taken whole: even walks on the bipartite ring keep its two sides apart
@@ -263,7 +271,7 @@ class TestFamilies:
         G = _bipartite(100, 100, 0.1, 1)
         H = sparsify_high_degree(G, 8, 0.75, SparsifyConfig(epsilon=0.75, oversample=1.0), RngStream(8))
         L = dense_monomial(G, 8)
-        assert G.is_connected() and H.components[0] == 2
+        assert G.components[0] == 1 and H.components[0] == 2
         assert H.m < np.count_nonzero(np.triu(L, 1))
         rep = similarity_check(H.laplacian_dense(), L, 0.75)
         assert rep.passed, rep.as_kv()

@@ -268,7 +268,7 @@ class TestErOracle:
         G = er_graph(100, 0.06, 0)
         alpha = PolyCoeffs.parse("0.5,0.5")
         cfg = SparsifyConfig(epsilon=1.0, oversample=0.1)
-        isolated = int(np.sum(sparsify_poly(G, alpha, cfg, RngStream(0)).degree == 0))
+        isolated = int(np.sum(sparsify_poly(G, alpha, cfg, RngStream(0).split(0)).degree == 0))
         assert isolated > 0
         with pytest.raises(InputRefusedError, match=f"disconnected .*{isolated} isolated vertices"):
             er_oracle_build(G, alpha, 1.0, RngStream(0), delta=0.8, cfg=cfg)
@@ -280,7 +280,7 @@ class TestErOracle:
         G = WeightedGraph(103, np.r_[C.edge_u, 100], np.r_[C.edge_v, 101], np.r_[C.edge_w, 1.0])
         alpha = PolyCoeffs.parse("0.5,0.5")
         cfg = SparsifyConfig(epsilon=1.0, oversample=0.1)
-        H = sparsify_poly(G, alpha, cfg, RngStream(0))
+        H = sparsify_poly(G, alpha, cfg, RngStream(0).split(0))
         isolated = int(np.sum(H.degree == 0)) - 1
         assert isolated > 0
         with pytest.raises(InputRefusedError, match=f"against L_alpha\\(G\\)'s 3, {isolated} isolated vertices"):

@@ -6,12 +6,16 @@ from walksparse import (
     PolyCoeffs,
     RngStream,
     SamplerIndex,
+    SparsifyConfig,
     ValidationError,
     WeightedGraph,
     build_template,
+    er_oracle_build,
     graph_sampling,
+    inv_sqrt_chain,
     sample_paths,
     sample_template_paths,
+    sparsify_high_degree,
 )
 from walksparse.oracle import enumerate_paths
 from walksparse.sampling import _RowTable
@@ -38,6 +42,35 @@ class TestRngStream:
     def test_split(self):
         s = RngStream(7)
         assert s.split(3) == RngStream(7, 3)
+        assert RngStream(5, 1).split(1) == RngStream(5, 1, 1) != RngStream(5, 1)
+
+    def test_child_differs_from_parent(self):
+        # a flat entropy tuple would give (7,) and (7, 0) the same numbers; a spawn key does not
+        assert RngStream(7).generator().random() != RngStream(7).split(0).generator().random()
+
+    def test_root_keeps_its_entropy(self):
+        np.testing.assert_array_equal(RngStream(5).generator().random(4),
+                                      np.random.default_rng(np.random.SeedSequence((5, 0))).random(4))
+
+    @pytest.mark.parametrize("fixture, run", [
+        ("sampled", lambda: sparsify_high_degree(
+            er_graph(80, 0.2, 5), 12, 0.75, SparsifyConfig(epsilon=0.75, oversample=0.03), RngStream(3))),
+        ("sampled", lambda: inv_sqrt_chain(
+            random_sddm(40, 0.15, 1), 1.0, cfg=SparsifyConfig(epsilon=0.5, oversample=0.01), rng=RngStream(1))),
+        ("sketched", lambda: er_oracle_build(
+            er_graph(30, 0.3, 2), PolyCoeffs.parse("0.5,0.5"), 1.0, RngStream(4), delta=0.8,
+            cfg=SparsifyConfig(epsilon=1.0, oversample=0.3))),
+    ], ids=["high-degree", "inv-sqrt", "er-oracle"])
+    def test_no_two_draws_share_a_stream(self, fixture, run, request, monkeypatch):
+        # every stage one and stage two of every step, and the oracle, draws from a path
+        # of its own; a path that draws is split by no one
+        request.getfixturevalue(fixture)
+        drawn, generator = [], RngStream.generator
+        monkeypatch.setattr(RngStream, "generator", lambda self: drawn.append((self.seed, *self.path)) or generator(self))
+        run()
+        assert any(len(p) > 2 and p[-1] == 1 for p in drawn)  # some stage two samples
+        assert len(drawn) == len(set(drawn))
+        assert not [(p, q) for p in drawn for q in drawn if p != q and q[:len(p)] == p]
 
 
 class TestSamplerIndex:

@@ -132,16 +132,17 @@ class TestSparsifyPoly:
         assert H1 == H2
 
     def test_disconnected_runs_whole(self):
-        # stage one is exact and dense; stage two samples both components in one pass
-        C = er_graph(40, 0.5, 7)
-        G = WeightedGraph(80, np.concatenate([C.edge_u, C.edge_u + 40]),
-                          np.concatenate([C.edge_v, C.edge_v + 40]), np.tile(C.edge_w, 2))
+        # stage one is exact and dense; stage two samples both components in one pass.
+        # At the default oversample the guarantee holds w.h.p.; at 0.5 a third of seeds miss
+        C = er_graph(200, 0.5, 7)
+        G = WeightedGraph(400, np.concatenate([C.edge_u, C.edge_u + 200]),
+                          np.concatenate([C.edge_v, C.edge_v + 200]), np.tile(C.edge_w, 2))
         alpha = PolyCoeffs.parse("0.5,0.5")
-        cfg = SparsifyConfig(epsilon=1.0, oversample=0.5)
-        one = sparsify_poly(G, alpha, SparsifyConfig(epsilon=0.5, oversample=0.5, second_stage=False), RngStream(8))
+        cfg = SparsifyConfig(epsilon=1.0)
+        one = sparsify_poly(G, alpha, SparsifyConfig(epsilon=0.5, second_stage=False), RngStream(8))
         H = sparsify_poly(G, alpha, cfg, RngStream(8))
         assert one.m > stage_two_edge_budget(G.n, cfg.eps_stage_two, cfg) >= H.m
-        assert not np.any((H.edge_u < 40) & (H.edge_v >= 40))
+        assert not np.any((H.edge_u < 200) & (H.edge_v >= 200))
         rep = similarity_check(H.laplacian_dense(), dense_poly(G, alpha), cfg.epsilon)
         assert rep.passed, rep.as_kv()
 
@@ -165,7 +166,7 @@ class TestSparsifyPoly:
         u = gen.integers(0, 100, 1500)
         v = 100 + gen.integers(0, 100, 1500)
         G = WeightedGraph.from_edges(200, list(zip(u, v, np.ones(1500))))
-        assert G.is_connected()
+        assert G.components[0] == 1
         alpha = PolyCoeffs.parse("0,1")
         cfg = SparsifyConfig(epsilon=1.0, oversample=1.0)
         stage_one = SparsifyConfig(epsilon=cfg.eps_stage_one, oversample=1.0, second_stage=False)
@@ -173,7 +174,7 @@ class TestSparsifyPoly:
             H1 = sparsify_poly(G, alpha, stage_one, RngStream(14))
             H = sparsify_poly(G, alpha, cfg, RngStream(14))
         assert caplog.text.count("stage 1 exact") == 2
-        assert not H1.is_connected()
+        assert H1.components[0] > 1
         assert H1.m > stage_two_edge_budget(G.n, cfg.eps_stage_two, cfg)
         assert H.m < H1.m
         rep = similarity_check(H.laplacian_dense(), dense_poly(G, alpha), cfg.epsilon)
@@ -270,8 +271,8 @@ class TestExactRoute:
     @pytest.mark.parametrize(
         "a, digest",
         [
-            ("0.5,0.5", "169dda0ae0244c69785823e36d44fa5519cbc4ab57d3c146d2d9d76e3eccc7eb"),
-            ("0.2,0.3,0.5", "2ab039e4ce9ae5aba5585159baa8ec66ae576dcc083438ee57b7d11b2c756e4f"),
+            ("0.5,0.5", "139415c90bad5e5107a04206ea794fd683794e133fc42b4f89169658f09dbaf1"),
+            ("0.2,0.3,0.5", "75c9236134894b9d42c27f5de560f1b1c4c564df5c4e62f7803c23781433220b"),
         ],
         ids=["0.5,0.5", "0.2,0.3,0.5"],
     )
@@ -412,10 +413,11 @@ _G, _M, _CFG = er_graph(20, 0.3, 0), random_sddm(12, 0.4, 1), SparsifyConfig(eps
     lambda rng: sparsify_poly(_G, PolyCoeffs.parse("0.5,0.5"), _CFG, rng),
     lambda rng: sparsify_monomial(_G, 2, _CFG, rng),
     lambda rng: sparsify_high_degree(_G, 4, 0.5, _CFG, rng),
+    lambda rng: sparsify_high_degree(_G, 12, 0.75, _CFG, rng),
     lambda rng: sparsify_sddm(_M, PolyCoeffs.parse("0.5,0.5"), _CFG, rng),
     lambda rng: inv_sqrt_chain(_M, 0.5, cfg=_CFG, rng=rng),
     lambda rng: er_oracle_build(_G, PolyCoeffs.parse("1"), 0.5, rng, cfg=_CFG),
-], ids=["poly", "monomial", "high-degree", "sddm", "inv-sqrt", "er-oracle"])
+], ids=["poly", "monomial", "high-degree", "high-degree-composed", "sddm", "inv-sqrt", "er-oracle"])
 def test_generator_refused_at_every_entry_point(run):
     # each entry point splits its rng into one stream per stage, which a Generator cannot do
     with pytest.raises(ValidationError, match="RngStream"):
