@@ -63,7 +63,6 @@ class WeightedGraph:
                 raise ValidationError("duplicate edges must be merged before construction")
             lo, hi, w = lo[order], hi[order], w[order]
         self.edge_u, self.edge_v, self.edge_w = lo, hi, w
-        self.self_loops_dropped = 0
 
     @cached_property
     def adjacency(self):
@@ -102,10 +101,7 @@ class WeightedGraph:
             log.warning("dropped %d self-loop entries (they cancel in D - A)", loops)
             keep = u != v
             u, v, w = u[keep], v[keep], w[keep]
-        u, v, w = _merge_duplicate_edges(u, v, w)
-        G = cls(n, u, v, w)
-        G.self_loops_dropped = loops
-        return G
+        return cls(n, *_merge_duplicate_edges(u, v, w))
 
     @classmethod
     def from_dense(cls, A):
@@ -195,7 +191,6 @@ class SddmMatrix:
         scale = np.maximum(diag, 1.0)
         if np.any(slack < -SLACK_RTOL * scale):
             raise ValidationError("matrix is not diagonally dominant")
-        slack = np.maximum(slack, 0.0)
         ncomp, comp = offdiag.components
         dry = np.bincount(comp, minlength=ncomp) > 1
         dry[comp[slack > SLACK_RTOL * scale]] = False
@@ -205,7 +200,6 @@ class SddmMatrix:
                                   f"(from vertex {np.argmax(comp == c)}) has no diagonal slack")
         self.diag = diag
         self.offdiag = offdiag
-        self.slack = slack
 
     @property
     def n(self):
@@ -220,18 +214,6 @@ class SddmMatrix:
     def matvec(self, x):
         return self.diag * np.asarray(x, dtype=np.float64) - self.offdiag.adjacency @ x
 
-    @classmethod
-    def from_dense(cls, M):
-        M = np.asarray(M, dtype=np.float64)
-        if not np.allclose(M, M.T, rtol=1e-12, atol=0):
-            raise ValidationError("matrix must be symmetric")
-        off = -M.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.any(off < -1e-12):
-            raise ValidationError("off-diagonal entries must be nonpositive")
-        off[off < 0] = 0.0
-        return cls(np.diag(M).copy(), WeightedGraph.from_dense(off))
-
     def __repr__(self):
         return f"SddmMatrix(n={self.n}, m={self.offdiag.m})"
 
@@ -239,10 +221,11 @@ class SddmMatrix:
 # ---------------------------------------------------------------------------
 # File I/O
 #
-# Two on-disk formats:
+# Two input formats:
 #   * Matrix Market coordinate real (general or symmetric), 1-based indices;
 #   * whitespace-separated edge list "u v w" with '#' comments.
-# Edges are written sorted by (u, v), each row as "%d %d %.17g\n" % row writes it.
+# Output is Matrix Market 'symmetric', edges sorted by (u, v), each row as
+# "%d %d %.17g\n" % row writes it.
 # One np.loadtxt call parses a body and array operations check it; the line
 # scanner runs only when loadtxt fails or a check refuses a row, to name it.
 # ---------------------------------------------------------------------------
@@ -334,7 +317,6 @@ def load_graph(path, fmt=None):
     """Load a WeightedGraph from an edge list or Matrix Market file.
 
     fmt is 'edge-list', 'matrix-market', or None to sniff from the content.
-    A Matrix Market 'general' file must list both triangles.
     """
     with open(path) as raw:
         fh = raw if raw.seekable() else io.StringIO(raw.read())  # the scanner rereads
@@ -342,23 +324,24 @@ def load_graph(path, fmt=None):
             fmt = "matrix-market" if fh.readline().startswith("%%MatrixMarket") else "edge-list"
             fh.seek(0)
         if fmt == "matrix-market":
-            n, kind, body, u, v, w = _read_matrix_market(fh)
-            if kind == "general":
-                return WeightedGraph._from_arrays(n, *_merge_general(body, u, v, w))
+            n, u, v, w = _read_matrix_market(fh, 1)
         elif fmt == "edge-list":
             body = _Body(fh, 1, "#")
             if len(body.w) == 0:
                 raise GraphFormatError("no edges found")
+            body.refuse(body.w < 0, lambda k: f"negative weight {body.w[k]}")
             ids, inv = np.unique(np.concatenate([body.u, body.v]), return_inverse=True)
             n, u, v, w = len(ids), inv[: len(body.w)], inv[len(body.w):], body.w
         else:
             raise ValueError(f"unknown format {fmt!r}")
-        body.refuse(w < 0, lambda k: f"negative weight {w[k]}")
     return WeightedGraph._from_arrays(n, u, v, w)
 
 
-def _read_matrix_market(fh):
-    """Header, size line and entries (0-based) of a Matrix Market file."""
+def _read_matrix_market(fh, sign):
+    """Size n and entries (u, v, w), 0-based, of a Matrix Market file, each
+    off-diagonal value times sign and every row's value nonnegative. A
+    'symmetric' file gives its rows; a 'general' one, which must list both
+    triangles, gives its upper triangle and diagonal with duplicates summed."""
     header = fh.readline().split()
     if len(header) < 5 or header[0] != "%%MatrixMarket":
         raise GraphFormatError("missing MatrixMarket header", line=1)
@@ -383,7 +366,10 @@ def _read_matrix_market(fh):
     body.refuse(out, lambda k: f"index ({u[k] + 1},{v[k] + 1}) out of range 1..{n}")
     if len(u) != nnz:
         raise GraphFormatError(f"expected {nnz} entries, found {len(u)}")
-    return n, kind, body, u, v, body.w
+    w = np.where(u == v, body.w, sign * body.w)
+    body.refuse(w < 0, lambda k: f"negative weight {w[k]}" if sign > 0 else
+                f"SDDM {'diagonal' if u[k] == v[k] else 'off-diagonal'} entry {body.w[k]} has the wrong sign")
+    return (n, *_merge_general(body, u, v, w)) if kind == "general" else (n, u, v, w)
 
 
 def _merge_general(body, u, v, w):
@@ -401,7 +387,6 @@ def _merge_general(body, u, v, w):
     asym = np.abs(acc - acc[pos]) > 1e-12 * np.maximum(np.abs(acc), 1.0)
     body.refuse(~paired[inv] | ((u < v) & asym[inv]), lambda k: f"entry ({u[k] + 1},{v[k] + 1}) "
                 + ("has an asymmetric value" if paired[inv[k]] else "has no symmetric partner"))
-    body.refuse((u <= v) & (acc[inv] < 0), lambda k: f"negative weight {acc[inv[k]]}")
     upper = a <= b
     return a[upper], b[upper], acc[upper]
 
@@ -477,27 +462,22 @@ def _write_rows(fh, u, v, w):
         fh.write(text)
 
 
-def save_graph(G: WeightedGraph, path, fmt="matrix-market"):
-    """Write edges sorted by (u, v), each row byte for byte "%d %d %.17g" % row."""
-    if fmt not in ("matrix-market", "edge-list"):
-        raise ValueError(f"unknown format {fmt!r}")
+def save_graph(G: WeightedGraph, path):
+    """Write Matrix Market 'symmetric', edges sorted by (u, v), each row byte for
+    byte "%d %d %.17g" % row."""
     with open(path, "w") as fh:
-        if fmt == "matrix-market":
-            fh.write(f"{_MM_HEADER}{G.n} {G.n} {G.m}\n")
-            _write_rows(fh, G.edge_u + 1, G.edge_v + 1, G.edge_w)
-        else:
-            _write_rows(fh, G.edge_u, G.edge_v, G.edge_w)
+        fh.write(f"{_MM_HEADER}{G.n} {G.n} {G.m}\n")
+        _write_rows(fh, G.edge_u + 1, G.edge_v + 1, G.edge_w)
 
 
 def load_sddm(path):
     """Read an SDDM matrix from Matrix Market coordinate (diagonal included)."""
     with open(path) as raw:
         fh = raw if raw.seekable() else io.StringIO(raw.read())
-        n, _, body, u, v, w = _read_matrix_market(fh)
-        off = u != v
-        body.refuse(off & (w > 0), lambda k: "SDDM off-diagonal entries must be nonpositive")
+        n, u, v, w = _read_matrix_market(fh, -1)
+    off = u != v
     diag = np.bincount(u[~off], weights=w[~off], minlength=n)
-    return SddmMatrix(diag, WeightedGraph._from_arrays(n, u[off], v[off], -w[off]))
+    return SddmMatrix(diag, WeightedGraph._from_arrays(n, u[off], v[off], w[off]))
 
 
 def save_sddm(M: SddmMatrix, path):

@@ -67,22 +67,20 @@ def shortest_program(target):
     raise ValidationError(f"degree {target} unreachable from 2 under {{x2, +4}}")
 
 
-def schedule(d, eps=None) -> DegreeSchedule:
+def schedule(d, eps) -> DegreeSchedule:
     """Plan the pipeline for even degree d at total error eps.
 
-    With eps given: small degrees (d <= 4/eps) are marked for direct path
-    sampling, and d = 4r+2 above that threshold is substituted by d-2 with
-    half the budget (the adjacent even monomials are eps/2-close there).
+    Small degrees (d <= 4/eps) are marked for direct path sampling, and
+    d = 4r+2 above that threshold is substituted by d-2 with half the budget
+    (the adjacent even monomials are eps/2-close there).
     """
     if not isinstance(d, numbers.Integral) or d < 2 or d % 2 != 0:
         raise ValidationError(f"degree must be an even integer >= 2, got {d!r}")
-    if eps is not None and not (0 < eps < math.inf):
+    if not (0 < eps < math.inf):
         raise ValidationError(f"eps must be positive and finite, got {eps!r}")
-    if eps is not None and d <= 4.0 / eps:
+    if d <= 4.0 / eps:
         return DegreeSchedule(d, [], direct=True, eps_effective=eps)
     if d % 4 == 2 and d > 2:
-        if eps is None:
-            raise ValidationError(f"degree {d} = 4r+2 needs an eps budget for substitution")
         return DegreeSchedule(d - 2, shortest_program(d - 2), substituted=True, eps_effective=eps / 2)
     return DegreeSchedule(d, shortest_program(d), eps_effective=eps)
 

@@ -139,10 +139,6 @@ class EnumeratedPath:
     def mass(self):
         return self.weight * self.resistance_bound
 
-    @property
-    def closed(self):
-        return self.vertices[0] == self.vertices[-1]
-
 
 def enumerate_paths(G: WeightedGraph, r):
     """All directed length-r walks with exact w(p) and Z(p).

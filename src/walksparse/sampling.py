@@ -22,6 +22,7 @@ vectors at most one and a total below 2 r m.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,8 @@ class RngStream:
     path: tuple
 
     def __init__(self, seed, *path):
+        if not all(isinstance(x, numbers.Integral) and x >= 0 for x in (seed, *path)):
+            raise ValidationError(f"seed and stream path must be nonnegative integers, got {(seed, *path)!r}")
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "path", path)
 

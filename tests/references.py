@@ -59,14 +59,14 @@ class SupportReport:
     lambda_max: float
     lower: float
     upper: float
-    slack: float
+    tol: float
 
     @property
     def passed(self):
-        return self.lambda_min >= self.lower - self.slack and self.lambda_max <= self.upper + self.slack
+        return self.lambda_min >= self.lower - self.tol and self.lambda_max <= self.upper + self.tol
 
 
-def support_check(G: WeightedGraph, r, slack=1e-9, threshold=DENSE_THRESHOLD):
+def support_check(G: WeightedGraph, r, tol=1e-9, threshold=DENSE_THRESHOLD):
     """Certify the parity support bracket of the r-step walk Laplacian:
     [1/2, r] against L_G for odd r, [1, r/2] against L_{G_2} for even r."""
     if G.n > threshold:
@@ -83,7 +83,7 @@ def support_check(G: WeightedGraph, r, slack=1e-9, threshold=DENSE_THRESHOLD):
         lam_min, lam_max = lo, lo
     else:
         lam_min, lam_max = float(vals.min()), float(vals.max())
-    return SupportReport(lam_min, lam_max, lo, hi, slack)
+    return SupportReport(lam_min, lam_max, lo, hi, tol)
 
 
 

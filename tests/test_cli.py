@@ -65,6 +65,15 @@ class TestExitCodes:
         assert main(["verify", "-a", tri_file, "-b", tri_file, "--alpha", "1", "--eps", "0.5",
                      "--against", "dense"]) == 2
 
+    @pytest.mark.parametrize("route", ["exact", "sampled"])
+    def test_negative_seed_is_invalid_input(self, tri_file, tmp_path, capsys, request, route):
+        if route == "sampled":
+            request.getfixturevalue("sampled")
+        out = tmp_path / "x.mtx"
+        assert main(["sparsify-poly", "-i", tri_file, "--alpha", "0.5,0.5", "--seed", "-1", "-o", str(out)]) == 3
+        assert "nonnegative integers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_no_subcommand(self):
         assert main([]) == 2
 
@@ -289,6 +298,22 @@ class TestOutputs:
                      "--cs", "0.5", "-o", out]) == 0
         assert (tmp_path / "chain" / "terminal.diag").exists()
         assert (tmp_path / "chain" / "chain.manifest").exists()
+
+    @pytest.mark.parametrize("cmd, extra", [("sparsify-sddm", ["--alpha", "0.5,0.5"]), ("inv-sqrt", [])])
+    def test_general_sddm_file_runs_as_its_symmetric_twin(self, tmp_path, cmd, extra):
+        # diagonal 5, off-diagonals -1 and -2: dominant, but not if an entry counts twice
+        head = "%%MatrixMarket matrix coordinate real "
+        (tmp_path / "sym.mtx").write_text(head + "symmetric\n3 3 5\n1 1 5\n2 1 -1\n2 2 5\n3 2 -2\n3 3 5\n")
+        (tmp_path / "gen.mtx").write_text(head + "general\n3 3 7\n1 1 5\n1 2 -1\n2 1 -1\n2 2 5\n"
+                                          "2 3 -2\n3 2 -2\n3 3 5\n")
+        written = []
+        for name in ("sym", "gen"):
+            (tmp_path / name).mkdir()
+            out = tmp_path / name / "out"
+            assert main([cmd, "-i", str(tmp_path / f"{name}.mtx"), "--seed", "2", "-o", str(out), *extra]) == 0
+            files = sorted(out.iterdir()) if out.is_dir() else [out]
+            written.append({f.name: f.read_bytes() for f in files if not f.name.endswith(".manifest")})
+        assert written[0] == written[1] and written[0]
 
 
 @pytest.mark.usefixtures("sampled")

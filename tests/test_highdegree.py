@@ -50,13 +50,12 @@ def dense_walk_graph(G, r):
 
 class TestSchedule:
     def test_pure_programs(self):
-        assert schedule(4).ops == [SQUARE]
-        assert schedule(12).ops == [PLUS, SQUARE]
+        assert shortest_program(4) == [SQUARE]
+        assert shortest_program(12) == [PLUS, SQUARE]
 
     def test_replay_consistency(self):
         for d in range(4, 400, 4):
-            sch = schedule(d)
-            assert replay(sch.ops) == sch.target == d
+            assert replay(shortest_program(d)) == d
 
     def test_direct_branch(self):
         sch = schedule(4, eps=1.0)
@@ -77,9 +76,9 @@ class TestSchedule:
 
     def test_odd_or_small_rejected(self):
         with pytest.raises(ValidationError):
-            schedule(7)
+            schedule(7, 0.5)
         with pytest.raises(ValidationError):
-            schedule(0)
+            schedule(0, 0.5)
 
     @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, math.inf])
     def test_bad_eps_rejected(self, eps):

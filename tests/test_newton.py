@@ -98,7 +98,7 @@ class TestNewtonSqrtStep:
 
     @pytest.mark.usefixtures("sampled")
     def test_2x2_dense_cubic(self):
-        M = SddmMatrix.from_dense(np.array([[3.0, -1.0], [-1.0, 3.0]]))
+        M = SddmMatrix(np.array([3.0, 3.0]), WeightedGraph.from_edges(2, [(0, 1, 1.0)]))
         expected = dense_poly(M, NEWTON_ALPHA)
         _, approx = newton_sqrt_step(M, 0.3, SparsifyConfig(epsilon=0.3), RngStream(1))
         vals = np.linalg.eigvalsh(np.linalg.solve(expected, approx.dense()))

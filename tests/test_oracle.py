@@ -147,7 +147,7 @@ class TestEnumeratePaths:
     def test_single_edge_r2(self, single_edge):
         paths = enumerate_paths(single_edge, 2)
         assert len(paths) == 2
-        assert all(p.closed for p in paths)
+        assert all(p.vertices[0] == p.vertices[-1] for p in paths)
         assert total_enumerated_mass(paths) == pytest.approx(4.0)
 
     def test_triangle_r2(self, triangle):

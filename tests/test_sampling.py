@@ -48,6 +48,11 @@ class TestRngStream:
         # a flat entropy tuple would give (7,) and (7, 0) the same numbers; a spawn key does not
         assert RngStream(7).generator().random() != RngStream(7).split(0).generator().random()
 
+    @pytest.mark.parametrize("seed, path", [(-1, ()), (1.5, ()), (0, (-1,)), (0, (1, 2.0))])
+    def test_negative_or_fractional_seed_refused(self, seed, path):
+        with pytest.raises(ValidationError, match="nonnegative integers"):
+            RngStream(seed, *path)
+
     def test_root_keeps_its_entropy(self):
         np.testing.assert_array_equal(RngStream(5).generator().random(4),
                                       np.random.default_rng(np.random.SeedSequence((5, 0))).random(4))
