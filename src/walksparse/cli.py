@@ -174,8 +174,8 @@ def _run_inv_sqrt(args):
     files = [f"factor_{k}" for k in range(len(chain))]
     for name, f in zip(files, chain.factors):
         save_graph(f.graph, os.path.join(args.output, f"{name}.mtx"))
-        np.savetxt(os.path.join(args.output, f"{name}.diag"), f.diag, fmt="%.17g")
-    np.savetxt(os.path.join(args.output, "terminal.diag"), chain.terminal_diag, fmt="%.17g")
+        np.savetxt(os.path.join(args.output, f"{name}.diag"), f.diag, fmt="%.16e")
+    np.savetxt(os.path.join(args.output, "terminal.diag"), chain.terminal_diag, fmt="%.16e")
     _write_manifest(os.path.join(args.output, "chain"), args, chain_length=len(chain),
                     factors=",".join(files) or "none", eps_bound=f"{chain.eps_bound:.6g}",
                     wall_time=wall)

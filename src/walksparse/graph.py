@@ -56,8 +56,7 @@ class WeightedGraph:
         if len(lo) and (lo.min() < 0 or hi.max() >= n):
             raise ValidationError("vertex id out of range")
         self.n = int(n)
-        # strictly increasing (lo, hi) pairs hold no duplicate and need no sort
-        if not np.all((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))):
+        if not _increasing(lo, hi):
             order, start = _runs(lo, hi)
             if not start.all():
                 raise ValidationError("duplicate edges must be merged before construction")
@@ -225,7 +224,8 @@ class SddmMatrix:
 #   * Matrix Market coordinate real (general or symmetric), 1-based indices;
 #   * whitespace-separated edge list "u v w" with '#' comments.
 # Output is Matrix Market 'symmetric', edges sorted by (u, v), each row as
-# "%d %d %.17g\n" % row writes it.
+# "%d %d %.16e\n" % row writes it: every weight as its 17 significant digits,
+# which read back to the same double, in one fixed layout.
 # One np.loadtxt call parses a body and array operations check it; the line
 # scanner runs only when loadtxt fails or a check refuses a row, to name it.
 # ---------------------------------------------------------------------------
@@ -233,20 +233,9 @@ class SddmMatrix:
 _ROW = [("u", np.int64), ("v", np.int64), ("w", np.float64)]
 _MM_HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
 _WRITE_CHUNK = 1 << 14  # a chunk's temporaries stay in cache
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
-# ASCII of each 4-digit group, plain (ids) and with an empty byte after each
-# digit that can take a '.' (weights), and masks that keep some of a group
-_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48)
-_SPACED = np.stack([_DIGITS, 0 * _DIGITS], -1).reshape(-1, 8).view("<u8").ravel()
-_TRAILING_ZEROS = np.cumprod(_DIGITS[:, ::-1] == 48, axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
-_FROM = (np.arange(4) >= np.arange(5)[:, None]) * np.uint8(255)  # [a]: digits a..3
-_KEEP_LAST = _FROM[::-1].copy().view("<u4").ravel()  # [c]: the last c digits
-_KEEP_FROM, _KEEP_BELOW = (np.stack([m, 0 * m], -1).reshape(5, 8).view("<u8").ravel()
-                           for m in (_FROM, _FROM[::-1, ::-1]))  # spaced; [b]: digits 0..b-1
-# [j, c]: spaced weight group j's chars from char c = first on (j < 2) or up to c = last
-_KEEP = np.stack([_KEEP_FROM[np.clip(np.arange(24) - 4 * j, 0, 4)] if j < 2
-                  else _KEEP_BELOW[np.clip(np.arange(24) + 1 - 4 * j, 0, 4)] for j in range(6)])
-_SCALE = 10.0 ** np.arange(21)  # 10^(16-k), exact doubles
+# ASCII of each 4-digit group as one little-endian word
+_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48).view("<u4").ravel()
+_SCALE = 10.0 ** np.arange(22)  # 10^(16-k), exact doubles
 
 
 def _runs(lo, hi):
@@ -260,8 +249,15 @@ def _runs(lo, hi):
     return order, start
 
 
+def _increasing(lo, hi):
+    """Whether the pairs (lo, hi) strictly increase: then none repeats and none needs a sort."""
+    return np.all((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1])))
+
+
 def _merge_duplicate_edges(u, v, w):
     lo, hi = np.minimum(u, v), np.maximum(u, v)
+    if _increasing(lo, hi):
+        return lo, hi, w
     order, start = _runs(lo, hi)
     first = order[start]
     # a run keeps its input order, so bincount adds its weights in that order
@@ -393,80 +389,66 @@ def _merge_general(body, u, v, w):
 
 def _ids(x, count):
     """'%d' of each id >= 0 as count 4-byte groups, NUL-padded in front."""
-    nd = np.maximum(np.searchsorted(_POW10, x, side="right"), 1)
-    return np.column_stack([_DIGITS.view("<u4")[x // 10 ** (4 * j) % 10000, 0]  # scalar divisors are fast
-                            & _KEEP_LAST[np.clip(nd - 4 * j, 0, 4)] for j in range(count - 1, -1, -1)])
+    groups = np.column_stack([_DIGITS[x // 10 ** (4 * j) % 10000] for j in range(count - 1, -1, -1)])
+    chars = groups.view(np.uint8)
+    lead = np.logical_and.accumulate(chars[:, :-1] == 48, axis=1)  # zeros before the first digit
+    chars[:, :-1][lead] = 0
+    return groups
 
 
-def _weights(w, rows):
-    """Fill rows' sign and weight fields with '%.17g' of w where its decimal exponent
-    k at 17 digits lies in [-4, 16] (fixed notation); return that mask. Dekker's
+def _significands(w):
+    """(N, k, ok): '%.16e' of w is the digits of the integer N in [10^16, 10^17)
+    times 10^(k-16) where ok, which needs 10^-5 <= |w| < 10^17. Dekker's
     two-product gives |w| 10^(16-k) = p + err exactly, and p >= 10^16 is even, so
     N = p + rint(err) is round(|w| 10^(16-k)), ties to even. A wrong k or a carry
-    leaves N outside [10^16, 10^17): no double is within 5e-17 relative below 10^k."""
-    ok = (np.abs(w) >= 1e-4) & (np.abs(w) < 1e17)
+    leaves N outside [10^16, 10^17): for k in [-5, 16] no double is within 5e-17
+    relative below 10^k (the one nearest 10^-6 is)."""
+    ok = (np.abs(w) >= 1e-5) & (np.abs(w) < 1e17)
     a = np.where(ok, np.abs(w), 1.0)
-    k = np.clip(np.floor(np.log10(a)).astype(np.int64), -4, 16)
+    k = np.clip(np.floor(np.log10(a)).astype(np.int64), -5, 16)
     b = _SCALE[16 - k]
     ah, bh = ((c := x * 134217729.0) - (c - x) for x in (a, b))  # Dekker's 26-bit halves
     p, al, bl = a * b, a - ah, b - bh
     err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     N = p.astype(np.int64) + np.rint(err).astype(np.int64)
-    ok &= (N >= 10**16) & (N < 10**17)
-    # '0000000' and the 17 digits of N, chars 0-23 in groups g[0..5]; '%.17g'
-    # prints chars first..last with a '.' after char 7 + k if a fraction digit is left
-    g = np.zeros((6, len(w)), np.int64)
-    g[5] = np.where(ok, N, 10**16)
-    for j in range(5, 1, -1):  # x - x // 10^4 * 10^4 is faster than x % 10^4
-        g[j - 1] = g[j] // 10000
-        g[j] -= g[j - 1] * 10000
-    last = np.select(g[:1:-1] != 0,  # the last nonzero digit
-                     [4 * j + 3 - _TRAILING_ZEROS[g[j]] for j in range(5, 1, -1)], 7)
-    first, last = 7 + np.minimum(k, 0), np.maximum(last, 7 + k)
-    cols = _SPACED[g]
-    for j in range(6):  # first lies in chars 3-7, last in chars 7-23
-        cols[j] &= _KEEP[j, first if j < 2 else last]
-    frac = np.flatnonzero(last > 7 + k)
-    dot = 7 + k[frac]
-    cols[dot // 4, frac] |= np.uint64(46) << (16 * (dot % 4) + 8).astype(np.uint64)
-    rows["w"] = cols.T
-    rows["sign"] = np.where(w < 0, 45, 0)
-    return ok
+    return N, k, ok & (N >= 10**16) & (N < 10**17)
 
 
 def _write_rows(fh, u, v, w):
-    """Write 'u v w' lines, byte for byte "%d %d %.17g\\n" % row. A chunk is one
-    NUL-padded record per row, made by array arithmetic, whose NULs are deleted
-    in one pass; the rows _weights leaves out are formatted by % and spliced in.
-    Ids below the row count (and 10^8) are formatted once, into a table that
-    each chunk gathers from; larger ones are formatted row by row."""
+    """Write 'u v w' lines to a binary file, byte for byte b"%d %d %.16e\\n" % row. A
+    chunk is one NUL-padded record per row, made by array arithmetic, whose NULs are
+    deleted in one pass; the rows _significands leaves out are formatted by % and spliced
+    in. Ids below the row count (and 10^8) are formatted once, into a table."""
     top = max(u.max(initial=1), v.max(initial=1))
-    ids = -(-int(np.searchsorted(_POW10, top, side="right")) // 4)
+    ids = -(-len(str(top)) // 4)
     table = _ids(np.arange(top + 1), ids).view(f"<u{4 * ids}").ravel() if top < len(w) and ids <= 2 else None
     for s in range(0, len(w), _WRITE_CHUNK):
         cu, cv, cw = (c[s : s + _WRITE_CHUNK] for c in (u, v, w))
         rows = np.zeros(len(cw), [("u", "<u4", ids), ("sp", "u1"), ("v", "<u4", ids), ("sp2", "u1"),
-                                  ("sign", "u1"), ("w", "<u8", 6), ("nl", "u1")])
+                                  ("sign", "u1"), ("lead", "<u2"), ("frac", "<u4", 4), ("exp", "<u4"), ("nl", "u1")])
         for name, x in (("u", cu), ("v", cv)):  # a negative id is clipped here and spliced in by %
             rows[name] = _ids(x, ids) if table is None else table.take(x, mode="clip").view("<u4").reshape(-1, ids)
         rows["sp"], rows["sp2"], rows["nl"] = 32, 32, 10
-        ok = _weights(cw, rows) & (cu >= 0) & (cv >= 0)
+        N, k, ok = _significands(cw)
+        rows["frac"] = np.column_stack([_DIGITS[N // 10 ** (4 * j) % 10000] for j in range(3, -1, -1)])
+        rows["sign"], rows["lead"] = np.where(cw < 0, 45, 0), 48 + N // 10**16 | 46 << 8  # '-', digit, '.'
+        rows["exp"] = _DIGITS[np.abs(k)] & 0xFFFF0000 | np.where(k < 0, 0x2D65, 0x2B65)  # 'e', sign, 2 digits
+        ok &= (cu >= 0) & (cv >= 0)
         rows[~ok] = 0
-        text = rows.tobytes().translate(None, b"\0").decode("ascii")
+        text = rows.tobytes().translate(None, b"\0")
         if len(bad := np.flatnonzero(~ok)):
             lengths = np.count_nonzero(rows.view(np.uint8).reshape(len(cw), -1), axis=1)
             cuts = np.concatenate([[0], np.cumsum(lengths)])[bad].tolist()
             parts = [text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)])]
             spliced = zip(cu[bad].tolist(), cv[bad].tolist(), cw[bad].tolist())
-            text = parts[0] + "".join("%d %d %.17g\n" % r + t for r, t in zip(spliced, parts[1:]))
+            text = parts[0] + b"".join(b"%d %d %.16e\n" % r + t for r, t in zip(spliced, parts[1:]))
         fh.write(text)
 
 
 def save_graph(G: WeightedGraph, path):
-    """Write Matrix Market 'symmetric', edges sorted by (u, v), each row byte for
-    byte "%d %d %.17g" % row."""
-    with open(path, "w") as fh:
-        fh.write(f"{_MM_HEADER}{G.n} {G.n} {G.m}\n")
+    """Write Matrix Market 'symmetric', edges sorted by (u, v), each row "%d %d %.16e" % row."""
+    with open(path, "wb") as fh:
+        fh.write(f"{_MM_HEADER}{G.n} {G.n} {G.m}\n".encode())
         _write_rows(fh, G.edge_u + 1, G.edge_v + 1, G.edge_w)
 
 
@@ -483,7 +465,7 @@ def load_sddm(path):
 def save_sddm(M: SddmMatrix, path):
     G = M.offdiag
     idx = np.arange(1, M.n + 1)
-    with open(path, "w") as fh:
-        fh.write(f"{_MM_HEADER}{M.n} {M.n} {M.n + G.m}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{_MM_HEADER}{M.n} {M.n} {M.n + G.m}\n".encode())
         _write_rows(fh, idx, idx, M.diag)
         _write_rows(fh, G.edge_u + 1, G.edge_v + 1, -G.edge_w)

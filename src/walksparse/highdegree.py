@@ -41,9 +41,9 @@ class DegreeSchedule:
 
     target: int
     ops: list
+    eps_effective: float
     direct: bool = False
     substituted: bool = False
-    eps_effective: float = None
 
 
 def shortest_program(target):

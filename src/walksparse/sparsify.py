@@ -118,6 +118,7 @@ def exact_walk_graph(layers, D, M, alpha):
             X = np.divide(X, D, out=np.zeros_like(X), where=D > 0) @ L
         else:
             X = sp.csr_matrix((X.data / D[X.indices], X.indices, X.indptr), shape=X.shape) @ L
+            X.sort_indices()  # then P, P + P^T and its triangle come out in edge order
         if a:
             P = P + a * X
     log.info("stage 1 exact: %s multiply-adds <= M = %s", f"{flops:,}", f"{M:,}")

@@ -180,7 +180,7 @@ class TestSparsifySddm:
         res = sparsify_sddm(M, PolyCoeffs.parse("0.2,0.3,0.5"), cfg, RngStream(9))
         save_sddm(res, tmp_path / "h.mtx")
         digest = hashlib.sha256((tmp_path / "h.mtx").read_bytes()).hexdigest()
-        assert digest == "5e0a8221d8cd70388b3ac5726f082d093536449cb8d5112aa8dee7047bc0c294"
+        assert digest == "8767579c767956a464acfd97ae7e849ba18512ecf14fdaa43abe2606514ab4fc"
 
 
 class TestSddmExactRoute:

@@ -271,8 +271,8 @@ class TestExactRoute:
     @pytest.mark.parametrize(
         "a, digest",
         [
-            ("0.5,0.5", "139415c90bad5e5107a04206ea794fd683794e133fc42b4f89169658f09dbaf1"),
-            ("0.2,0.3,0.5", "75c9236134894b9d42c27f5de560f1b1c4c564df5c4e62f7803c23781433220b"),
+            ("0.5,0.5", "fe291a568006de1bb574fea294bf93c3505b20da2a7a8b5d0401ecee47e78879"),
+            ("0.2,0.3,0.5", "3e458709391e5363177fccfbbc0f02c4afffbff476866d10e574bea2dd15508b"),
         ],
         ids=["0.5,0.5", "0.2,0.3,0.5"],
     )
