@@ -130,19 +130,20 @@ def _one_blas_thread():
 
 
 def _grounded_inverse(G: WeightedGraph):
-    """(X, at): the inverse of L grounded at the _grounds vertices, and the row
-    of X of each vertex.
+    """(X, at): the inverse of L grounded at the _grounds vertices, and the
+    index of each vertex in it.
 
-    The k vertices left keep their order in rows 0..k-1; every grounded
-    vertex reads row k, which is zero, as is column k. Only the upper
-    triangle is filled, so with a = at[u] <= b = at[v] (true for u <= v)
-    R(u, v) = X[a, a] + X[b, b] - 2 X[a, b] within a component. One ground
-    per component makes the grounded Laplacian positive definite; the
-    heaviest keeps the Cholesky pivots away from roundoff when edge weights
-    span many orders of magnitude. Its upper triangle, all dpotrf reads, is
-    set from the edges; a graph with no edges has k = 0 and calls no LAPACK.
-    dpotrf's and dpotri's bytes depend on the OpenBLAS thread count, so
-    they run at one thread; where _BLAS_THREADS holds no scipy library (a
+    The k vertices left keep their order in 0..k-1; every grounded vertex
+    reads index k. X is k * k + 1 doubles: the upper triangle of the k x k
+    inverse in column-major order, then a zero. For lo <= hi, entry (lo, hi)
+    is X[lo + hi * k], or the zero once hi = k, and R(u, v) = (lo, lo) +
+    (hi, hi) - 2 (lo, hi) within a component. One ground per component
+    makes the grounded Laplacian positive definite; the heaviest keeps the
+    Cholesky pivots away from roundoff when edge weights span many orders of
+    magnitude. Its upper triangle, all dpotrf reads, is set from the edges
+    and overwritten in place; a graph with no edges has k = 0 and calls no
+    LAPACK. dpotrf's and dpotri's bytes depend on the OpenBLAS thread count,
+    so they run at one thread; where _BLAS_THREADS holds no scipy library (a
     scipy not installed from a wheel), the count is left alone and the
     bytes vary with it.
     """
@@ -151,10 +152,10 @@ def _grounded_inverse(G: WeightedGraph):
     at = np.cumsum(keep) - 1
     at[~keep] = k
     away = keep[G.edge_u] & keep[G.edge_v]
-    red = np.zeros((k, k), order="F")
+    X = np.zeros(k * k + 1)
+    red = X[: k * k].reshape(k, k, order="F")  # a view: LAPACK writes into X
     red[at[G.edge_u[away]], at[G.edge_v[away]]] = -G.edge_w[away]
     np.fill_diagonal(red, G.degree[keep])
-    X = np.zeros((k + 1, k + 1))
     if k:
         with _one_blas_thread():
             chol, info = lapack.dpotrf(red, lower=0, clean=1, overwrite_a=1)
@@ -165,7 +166,6 @@ def _grounded_inverse(G: WeightedGraph):
                 f"grounded Laplacian is not numerically positive definite (pivot {info}); "
                 "edge weights span too many orders of magnitude for exact resistances"
             )
-        X[:k, :k] = chol
     return X, at
 
 
@@ -196,7 +196,8 @@ class ErOracle:
         self.graph = H
         self.method = _default_method(H.n, delta)
         if self.method == "dense-exact":
-            self._state, at = _grounded_inverse(H)  # upper triangle filled
+            self._state, at = _grounded_inverse(H)
+            self._k = math.isqrt(len(self._state) - 1)
         else:
             self._state = _sketch_potentials(H, delta, rng if rng is not None else RngStream(0))
             at = np.arange(H.n)
@@ -205,13 +206,15 @@ class ErOracle:
 
     def _resistances(self, a, b):
         if self.method == "dense-exact":
-            X = self._state
-            return X[a, a] + X[b, b] - 2 * X[a, b]
+            X, k = self._state, self._k  # index k, a ground, reads the zero X[k * k]
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            return X[np.minimum(a * (k + 1), k * k)] + X[np.minimum(b * (k + 1), k * k)] \
+                - 2 * X[np.minimum(lo + hi * k, k * k)]
         diff = self._state[:, a] - self._state[:, b]
         return np.sum(diff * diff, axis=0)
 
     def resistances(self, u, v):
-        """R(u, v) for index arrays u <= v whose pairs share a component."""
+        """R(u, v) for index arrays u, v whose pairs share a component."""
         return self._resistances(self._at[u], self._at[v])
 
     def query(self, u, v):
@@ -220,7 +223,14 @@ class ErOracle:
             raise ValidationError(f"vertex pair ({u}, {v}) out of range")
         if self._label[u] != self._label[v]:
             return math.inf
-        return float(self._resistances(self._rows[min(u, v)], self._rows[max(u, v)]))
+        a, b = self._rows[u], self._rows[v]
+        if self.method == "dense-exact":
+            X, k = self._state, self._k
+            a, b = (a, b) if a < b else (b, a)
+            if b == k:
+                return X.item(a * (k + 1)) if a < k else 0.0  # a = k: u = v, a ground
+            return X.item(a * (k + 1)) + X.item(b * (k + 1)) - 2 * X.item(a + b * k)
+        return float(self._resistances(a, b))
 
 
 def estimate_er(H: WeightedGraph, delta=0.2, rng=None) -> np.ndarray:

@@ -10,16 +10,15 @@ import scipy.sparse as sp
 from walksparse.errors import ValidationError
 from walksparse.graph import DENSE_THRESHOLD, WeightedGraph
 from walksparse.oracle import dense_monomial, generalized_eigenvalues
-from walksparse.resistance import _grounded_inverse
 
 
 def exact_resistances(G: WeightedGraph):
-    """All-pairs resistances of a connected G from ErOracle's grounded inverse,
-    out of the sketched fixture's reach. For a dense_poly target L, pass
+    """All-pairs resistances of a connected G from the dense inverse of its
+    Laplacian grounded at vertex 0, out of the sketched fixture's reach and
+    of ErOracle's code. For a dense_poly target L, pass
     WeightedGraph.from_dense(-L)."""
-    X, at = _grounded_inverse(G)
-    X = np.triu(X) + np.triu(X, 1).T
-    X = X[np.ix_(at, at)]
+    X = np.zeros((G.n, G.n))
+    X[1:, 1:] = np.linalg.inv(G.laplacian_dense()[1:, 1:])
     d = np.diag(X)
     return d[:, None] + d[None, :] - 2 * X
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -255,6 +256,18 @@ class TestErOracle:
                 assert oracle.query(u, v) == pytest.approx(truth, rel=1e-8)
                 assert oracle.query(v, u) == oracle.query(u, v)
 
+    def test_ground_first_star(self):
+        # the centre 0 is the ground, so for u = 0 < v its index k sorts after v's
+        G = WeightedGraph.from_edges(7, [(0, i, 0.5 * i) for i in range(1, 7)])
+        oracle = ErOracle(G, 0.2)
+        assert oracle.method == "dense-exact" and oracle._at[0] == G.n - 1
+        R = exact_resistances(G)
+        np.testing.assert_allclose(estimate_er(G), R[G.edge_u, G.edge_v], rtol=1e-12)
+        u, v = np.triu_indices(G.n, 1)
+        np.testing.assert_allclose(oracle.resistances(u, v), R[u, v], rtol=1e-12)
+        for a, b in zip(u.tolist(), v.tolist()):
+            assert oracle.query(a, b) == oracle.query(b, a) == pytest.approx(R[a, b], rel=1e-12)
+
     def test_sketch_width_uses_half_delta(self):
         # at n = 600, delta = 0.8 the stage-2 width 240 < n picks the sketch,
         # but the oracle's width at delta / 2 is 960 >= n, so it stays exact
@@ -361,15 +374,17 @@ class TestErOracle:
 
 def _grounded_inverse_reference(G):
     """The grounded inverse of a connected G from the sparse Laplacian's slice,
-    with a zero last row and column for its ground, and the row of each vertex."""
+    column-major and followed by one zero for its ground, and the index of
+    each vertex."""
     keep = np.arange(G.n) != np.argmax(G.degree)
     red = G.laplacian().tocsr()[keep][:, keep].toarray(order="F")
     with resistance._one_blas_thread():
         chol, info = lapack.dpotrf(red, lower=0, clean=1, overwrite_a=1)
         chol, info = lapack.dpotri(chol, lower=0, overwrite_c=1)
-    X = np.zeros((G.n, G.n))
-    X[:-1, :-1] = chol
-    return X, np.where(keep, np.cumsum(keep) - 1, G.n - 1)
+    k = G.n - 1
+    X = np.zeros(k * k + 1)
+    X[: k * k] = chol.ravel(order="F")
+    return X, np.where(keep, np.cumsum(keep) - 1, k)
 
 
 class TestGroundedInverse:
@@ -381,6 +396,20 @@ class TestGroundedInverse:
         (X, at), (ref, ref_at) = resistance._grounded_inverse(G), _grounded_inverse_reference(G)
         assert X.tobytes() == ref.tobytes()
         np.testing.assert_array_equal(at, ref_at)
+
+    def test_peak_memory_one_buffer(self):
+        # the k x k inverse is factored, inverted and read in place: no second copy
+        G = er_graph(300, 0.03, 4, weighted=True)
+        G.degree, G.components  # computed before the trace
+        tracemalloc.start()
+        try:
+            oracle = ErOracle(G, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = G.n - 1
+        assert oracle.method == "dense-exact"
+        assert peak < 1.25 * 8 * k * k, (peak, 8 * k * k)
 
     def test_bytes_independent_of_blas_threads(self):
         # dpotrf and dpotri round differently at 1 and 2 OpenBLAS threads unless pinned
