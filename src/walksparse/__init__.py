@@ -37,15 +37,7 @@ from .oracle import (
     total_enumerated_mass,
 )
 from .resistance import ErOracle, er_oracle_build, estimate_er, resparsify
-from .sampling import (
-    PathBatch,
-    RngStream,
-    SamplerIndex,
-    build_template,
-    graph_sampling,
-    sample_paths,
-    sample_template_paths,
-)
+from .sampling import RngStream, SamplerIndex, sample_paths
 from .sddm import extra_diagonal, sparsify_sddm
 from .sparsify import SparsifyConfig, sparsify_monomial, sparsify_poly
 
@@ -59,7 +51,6 @@ __all__ = [
     "GraphFormatError",
     "InputRefusedError",
     "MonomialApprox",
-    "PathBatch",
     "PolyCoeffs",
     "RngStream",
     "SamplerIndex",
@@ -69,14 +60,12 @@ __all__ = [
     "ValidationError",
     "WalksparseError",
     "WeightedGraph",
-    "build_template",
     "dense_monomial",
     "dense_poly",
     "enumerate_paths",
     "er_oracle_build",
     "estimate_er",
     "extra_diagonal",
-    "graph_sampling",
     "inv_sqrt_chain",
     "load_graph",
     "load_sddm",
@@ -84,7 +73,6 @@ __all__ = [
     "qth_root_coefficients",
     "resparsify",
     "sample_paths",
-    "sample_template_paths",
     "save_graph",
     "save_sddm",
     "schedule",

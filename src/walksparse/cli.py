@@ -47,16 +47,13 @@ def _alpha_arg(text):
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _common(parser, needs_output=True, graph_input=True):
+def _common(parser, needs_output=True):
     parser.add_argument("-i", "--input", required=True, help="input graph/matrix file")
     if needs_output:
         parser.add_argument("-o", "--output", required=True, help="output path")
     parser.add_argument("--eps", type=float, default=0.5, help="error budget epsilon")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     parser.add_argument("--cs", type=float, default=4.0, help="oversampling constant c_s")
-    if graph_input:  # SDDM inputs are Matrix Market only
-        parser.add_argument("--format", choices=["matrix-market", "edge-list"], default=None,
-                            help="input format (sniffed when omitted)")
     parser.add_argument("--no-second-stage", action="store_true",
                         help="skip the resistance-based second sparsification stage")
 
@@ -81,15 +78,14 @@ def build_parser():
     hd.add_argument("--degree", "-d", type=int, required=True)
 
     sd = sub.add_parser("sparsify-sddm", help="sparsify an SDDM walk polynomial")
-    _common(sd, graph_input=False)
+    _common(sd)
     sd.add_argument("--alpha", required=True, type=_alpha_arg)
 
     iv = sub.add_parser("inv-sqrt", help="inverse square-root factor chain")
-    _common(iv, graph_input=False)
-    iv.add_argument("--max-iters", type=int, default=40)
+    _common(iv)
 
     qr = sub.add_parser("qth-root", help="q-th root reduction step")
-    _common(qr, graph_input=False)
+    _common(qr)
     qr.add_argument("--q", type=int, required=True)
 
     rs = sub.add_parser("resistance", help="effective-resistance oracle queries")
@@ -104,12 +100,10 @@ def build_parser():
     vf.add_argument("-b", "--original", required=True)
     vf.add_argument("--alpha", required=True, type=_alpha_arg)
     vf.add_argument("--eps", type=float, required=True)
-    vf.add_argument("--format", choices=["matrix-market", "edge-list"], default=None)
 
     en = sub.add_parser("enumerate", help="exhaustively list length-r walks")
     en.add_argument("-i", "--input", required=True)
     en.add_argument("--degree", "-r", type=int, required=True)
-    en.add_argument("--format", choices=["matrix-market", "edge-list"], default=None)
 
     return p
 
@@ -150,7 +144,7 @@ def _coeffs(alpha):
 
 def _run_graph(args, fn, *params, **keys):
     """fn(G, *params, cfg, rng) on the input graph; keys precede wall_time in the manifest."""
-    G = load_graph(args.input, fmt=args.format)
+    G = load_graph(args.input)
     H, wall = _timed(fn, G, *params, _cfg(args), RngStream(args.seed))
     save_graph(H, args.output)
     _write_manifest(args.output, args, **keys, wall_time=wall, output_nnz=H.m)
@@ -168,14 +162,13 @@ def _run_sddm(args, coeffs, **keys):
 
 def _run_inv_sqrt(args):
     M = load_sddm(args.input)
-    chain, wall = _timed(inv_sqrt_chain, M, args.eps, max_iters=args.max_iters,
-                         cfg=_cfg(args), rng=RngStream(args.seed))
+    chain, wall = _timed(inv_sqrt_chain, M, args.eps, cfg=_cfg(args), rng=RngStream(args.seed))
     os.makedirs(args.output, exist_ok=True)
     files = [f"factor_{k}" for k in range(len(chain))]
     for name, f in zip(files, chain.factors):
         save_graph(f.graph, os.path.join(args.output, f"{name}.mtx"))
-        np.savetxt(os.path.join(args.output, f"{name}.diag"), f.diag, fmt="%.16e")
-    np.savetxt(os.path.join(args.output, "terminal.diag"), chain.terminal_diag, fmt="%.16e")
+        np.savetxt(os.path.join(args.output, f"{name}.diag"), f.diag, "%.16e")
+    np.savetxt(os.path.join(args.output, "terminal.diag"), chain.terminal_diag, "%.16e")
     _write_manifest(os.path.join(args.output, "chain"), args, chain_length=len(chain),
                     factors=",".join(files) or "none", eps_bound=f"{chain.eps_bound:.6g}",
                     wall_time=wall)
@@ -183,7 +176,7 @@ def _run_inv_sqrt(args):
 
 
 def _run_resistance(args):
-    G = load_graph(args.input, fmt=args.format)
+    G = load_graph(args.input)
     cfg = _cfg(args)
     oracle = er_oracle_build(G, args.alpha, args.eps, RngStream(args.seed),
                              delta=args.delta, cfg=cfg)
@@ -202,8 +195,8 @@ def _run_resistance(args):
 
 
 def _run_verify(args):
-    H = load_graph(args.produced, fmt=args.format)
-    G = load_graph(args.original, fmt=args.format)
+    H = load_graph(args.produced)
+    G = load_graph(args.original)
     target = dense_poly(G, args.alpha)
     report = similarity_check(H.laplacian_dense(), target, args.eps)
     print(report.as_kv())
@@ -211,7 +204,7 @@ def _run_verify(args):
 
 
 def _run_enumerate(args):
-    G = load_graph(args.input, fmt=args.format)
+    G = load_graph(args.input)
     paths = enumerate_paths(G, args.degree)
     for p in sorted(paths, key=lambda p: p.vertices):
         verts = "-".join(str(v) for v in p.vertices)

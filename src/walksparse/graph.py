@@ -309,27 +309,22 @@ class _Body:
             raise GraphFormatError(message(k), line=self.lines[k])
 
 
-def load_graph(path, fmt=None):
-    """Load a WeightedGraph from an edge list or Matrix Market file.
-
-    fmt is 'edge-list', 'matrix-market', or None to sniff from the content.
-    """
+def load_graph(path):
+    """Load a WeightedGraph from a Matrix Market file (first line '%%MatrixMarket')
+    or else an edge list."""
     with open(path) as raw:
         fh = raw if raw.seekable() else io.StringIO(raw.read())  # the scanner rereads
-        if fmt is None:
-            fmt = "matrix-market" if fh.readline().startswith("%%MatrixMarket") else "edge-list"
-            fh.seek(0)
-        if fmt == "matrix-market":
+        matrix_market = fh.readline().startswith("%%MatrixMarket")
+        fh.seek(0)
+        if matrix_market:
             n, u, v, w = _read_matrix_market(fh, 1)
-        elif fmt == "edge-list":
+        else:
             body = _Body(fh, 1, "#")
             if len(body.w) == 0:
                 raise GraphFormatError("no edges found")
             body.refuse(body.w < 0, lambda k: f"negative weight {body.w[k]}")
             ids, inv = np.unique(np.concatenate([body.u, body.v]), return_inverse=True)
             n, u, v, w = len(ids), inv[: len(body.w)], inv[len(body.w):], body.w
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
     return WeightedGraph._from_arrays(n, u, v, w)
 
 
@@ -415,7 +410,7 @@ def _significands(w):
 
 
 def _write_rows(fh, u, v, w):
-    """Write 'u v w' lines to a binary file, byte for byte b"%d %d %.16e\\n" % row. A
+    """Write 'u v w' lines, ids >= 0, to a binary file, byte for byte b"%d %d %.16e\\n" % row. A
     chunk is one NUL-padded record per row, made by array arithmetic, whose NULs are
     deleted in one pass; the rows _significands leaves out are formatted by % and spliced
     in. Ids below the row count (and 10^8) are formatted once, into a table."""
@@ -426,14 +421,13 @@ def _write_rows(fh, u, v, w):
         cu, cv, cw = (c[s : s + _WRITE_CHUNK] for c in (u, v, w))
         rows = np.zeros(len(cw), [("u", "<u4", ids), ("sp", "u1"), ("v", "<u4", ids), ("sp2", "u1"),
                                   ("sign", "u1"), ("lead", "<u2"), ("frac", "<u4", 4), ("exp", "<u4"), ("nl", "u1")])
-        for name, x in (("u", cu), ("v", cv)):  # a negative id is clipped here and spliced in by %
-            rows[name] = _ids(x, ids) if table is None else table.take(x, mode="clip").view("<u4").reshape(-1, ids)
+        for name, x in (("u", cu), ("v", cv)):
+            rows[name] = _ids(x, ids) if table is None else table[x].view("<u4").reshape(-1, ids)
         rows["sp"], rows["sp2"], rows["nl"] = 32, 32, 10
         N, k, ok = _significands(cw)
         rows["frac"] = np.column_stack([_DIGITS[N // 10 ** (4 * j) % 10000] for j in range(3, -1, -1)])
         rows["sign"], rows["lead"] = np.where(cw < 0, 45, 0), 48 + N // 10**16 | 46 << 8  # '-', digit, '.'
         rows["exp"] = _DIGITS[np.abs(k)] & 0xFFFF0000 | np.where(k < 0, 0x2D65, 0x2B65)  # 'e', sign, 2 digits
-        ok &= (cu >= 0) & (cv >= 0)
         rows[~ok] = 0
         text = rows.tobytes().translate(None, b"\0")
         if len(bad := np.flatnonzero(~ok)):

@@ -34,6 +34,7 @@ from .sparsify import SparsifyConfig
 
 NEWTON_ALPHA = PolyCoeffs(np.array([0.0, 0.75, 0.25]))
 RHO_THRESHOLD = 0.1
+MAX_STEPS = 40  # inv_sqrt_chain raises ConvergenceError after this many steps
 # spectral_radius above DENSE_THRESHOLD: ARPACK restarts (about 19 matvecs
 # each) before Lanczos gives up, then steps of the inverse-iteration bound
 LANCZOS_RESTARTS = 100
@@ -161,7 +162,6 @@ def newton_sqrt_step(M: SddmMatrix, eps, cfg: SparsifyConfig, rng):
 def inv_sqrt_chain(
     M: SddmMatrix,
     eps_total,
-    max_iters=40,
     cfg: SparsifyConfig = None,
     rng: RngStream = RngStream(0),
 ) -> FactorChain:
@@ -182,7 +182,7 @@ def inv_sqrt_chain(
         raise ValidationError("splitting has walk ratio >= 1; input is not positive definite")
     # Predicted iteration count from the scalar recurrence rho' = (3r^2+r^3)/4.
     k_est, r = 0, rho
-    while r >= threshold and k_est < max_iters:
+    while r >= threshold and k_est < MAX_STEPS:
         r = (3 * r**2 + r**3) / 4
         k_est += 1
     eps_step = (eps_total / 2) / max(k_est, 1)
@@ -191,7 +191,7 @@ def inv_sqrt_chain(
 
     chain = FactorChain()
     cur = M
-    for k in range(max_iters):
+    for k in range(MAX_STEPS):
         if k:  # step 0 is M itself, measured above
             rho = spectral_radius(cur)
         chain.rho_history.append(rho)
@@ -202,7 +202,7 @@ def inv_sqrt_chain(
         factor, cur = newton_sqrt_step(cur, eps_step, cfg, rng.split(k))
         chain.factors.append(factor)
     raise ConvergenceError(
-        f"inverse-sqrt chain did not reach walk ratio {threshold:.3g} in {max_iters} steps",
+        f"inverse-sqrt chain did not reach walk ratio {threshold:.3g} in {MAX_STEPS} steps",
         residual=rho,
     )
 

@@ -215,10 +215,9 @@ class SamplerIndex:
     """
 
     def __init__(self, layers, coeffs, D):
-        # layers are WeightedGraphs or sparse matrices; a CSR layer is used as is, so
-        # equal layers keep one identity across positions and share tables
-        csr = {}
-        mats = [csr.setdefault(id(x), x.adjacency if isinstance(x, WeightedGraph) else x.tocsr()) for x in layers]
+        # layers are WeightedGraphs (their cached adjacency) or sparse matrices (a CSR one
+        # as is), so equal layers keep one identity across positions and share tables
+        mats = [x.adjacency if isinstance(x, WeightedGraph) else x.tocsr() for x in layers]
         coeffs = np.asarray(coeffs, dtype=np.float64)
         D = np.asarray(D, dtype=np.float64)
         if len(coeffs) != len(mats):

@@ -62,6 +62,7 @@ class TestExitCodes:
 
     def test_removed_options_are_usage_errors(self, sddm_file, tri_file, tmp_path):
         assert main(["inv-sqrt", "-i", sddm_file, "--dense", "-o", str(tmp_path / "chain")]) == 2
+        assert main(["inv-sqrt", "-i", sddm_file, "--max-iters", "5", "-o", str(tmp_path / "chain")]) == 2
         assert main(["verify", "-a", tri_file, "-b", tri_file, "--alpha", "1", "--eps", "0.5",
                      "--against", "dense"]) == 2
 
@@ -261,15 +262,39 @@ class TestOutputs:
         manifest = (tmp_path / "qr.mtx.manifest").read_text()
         assert "middle_alpha=" in manifest
 
-    @pytest.mark.parametrize("cmd, extra", [
-        ("sparsify-sddm", ["--alpha", "1"]), ("inv-sqrt", []), ("qth-root", ["--q", "2"])],
-        ids=["sparsify-sddm", "inv-sqrt", "qth-root"])
-    def test_sddm_commands_take_no_format(self, sddm_file, tmp_path, cmd, extra):
-        # SDDM inputs are Matrix Market only, so --format is a usage error
-        out = tmp_path / "out"
-        code = main([cmd, "-i", sddm_file, "--format", "edge-list", "-o", str(out), *extra])
-        assert code == 2
+    @pytest.mark.parametrize("argv", [
+        ["sparsify-sddm", "-i", "M", "--alpha", "1", "-o", "OUT"],
+        ["inv-sqrt", "-i", "M", "-o", "OUT"],
+        ["qth-root", "-i", "M", "--q", "2", "-o", "OUT"],
+        ["sparsify-poly", "-i", "G", "--alpha", "1", "-o", "OUT"],
+        ["sparsify-monomial", "-i", "G", "-r", "2", "-o", "OUT"],
+        ["high-degree", "-i", "G", "-d", "2", "-o", "OUT"],
+        ["resistance", "-i", "G", "--queries", "Q"],
+        ["verify", "-a", "G", "-b", "G", "--alpha", "1", "--eps", "0.5"],
+        ["enumerate", "-i", "G", "-r", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_sddm_commands_take_no_format(self, sddm_file, tri_file, tmp_path, capsys, argv):
+        # a graph file's first line picks its format and SDDM inputs are Matrix Market
+        # only, so no subcommand, SDDM or graph, takes --format: it is a usage error
+        out, queries = tmp_path / "out", tmp_path / "pairs.txt"
+        queries.write_text("0 1\n")
+        files = {"M": sddm_file, "G": tri_file, "OUT": str(out), "Q": str(queries)}
+        assert main([files.get(a, a) for a in argv] + ["--format", "edge-list"]) == 2
         assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    def test_verify_across_formats(self, medium_file, tmp_path, capsys):
+        # no flag names a format: a Matrix Market sparsifier is checked against an edge list
+        G = load_graph(medium_file)
+        edges = tmp_path / "g30.txt"
+        edges.write_text("".join(f"{u} {v} {w!r}\n" for u, v, w in
+                                 zip(G.edge_u.tolist(), G.edge_v.tolist(), G.edge_w.tolist())))
+        assert load_graph(edges) == G
+        out = str(tmp_path / "h.mtx")
+        assert main(["sparsify-poly", "-i", medium_file, "--alpha", "0.5,0.5",
+                     "--eps", "0.5", "--seed", "3", "-o", out]) == 0
+        assert main(["verify", "-a", out, "-b", str(edges), "--alpha", "0.5,0.5", "--eps", "0.5"]) == 0
+        assert "pass=true" in capsys.readouterr().out
 
     @pytest.mark.parametrize("cmd, extra, run_fields", [
         ("sparsify-poly", ["--alpha", "0.3,0.7"], {"alpha": "0.29999999999999999,0.69999999999999996"}),

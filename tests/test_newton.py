@@ -326,9 +326,10 @@ class TestSpectralRadius:
         assert np.max(M.offdiag.degree / M.diag) == 1.0
         assert truth * (1 - 1e-15) <= rho < 1
         assert rho <= truth * (1 + 1e-9)
-        # the chain takes it: one step, then the iteration cap
+        # the chain takes it: one step, then the step cap
+        monkeypatch.setattr(newton, "MAX_STEPS", 1)
         with pytest.raises(ConvergenceError):
-            inv_sqrt_chain(M, 0.4, max_iters=1)
+            inv_sqrt_chain(M, 0.4)
 
     def test_second_eigenpair_never_reads_low(self, monkeypatch):
         # the bound holds whichever eigenpair ARPACK returns; a Ritz residual

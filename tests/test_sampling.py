@@ -9,16 +9,13 @@ from walksparse import (
     SparsifyConfig,
     ValidationError,
     WeightedGraph,
-    build_template,
     er_oracle_build,
-    graph_sampling,
     inv_sqrt_chain,
     sample_paths,
-    sample_template_paths,
     sparsify_high_degree,
 )
 from walksparse.oracle import enumerate_paths
-from walksparse.sampling import _RowTable
+from walksparse.sampling import _RowTable, build_template, graph_sampling, sample_template_paths
 
 from conftest import er_graph, random_sddm, ring_graph
 
